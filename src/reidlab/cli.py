@@ -37,7 +37,7 @@ from .evalkit import (
 from .model import FUSED_SELECTOR, embed_dataset, load_checkpoint
 from .numerics import Rng
 from .objectives import FusionOperator, LossConfig, fuse, strategy_from_name
-from .pipeline import TrainConfig, config_hash, grid_search, train
+from .pipeline import TrainConfig, config_hash, grid_search, require_int, require_real, train
 from .synthdata import (
     SPLIT_GALLERY,
     MultimodalDataset,
@@ -139,17 +139,18 @@ def synth_config_from(data: dict) -> SynthConfig:
 def train_config_from(tr: dict) -> tuple[TrainConfig, Optional[dict]]:
     tr = dict(tr)
     grid = tr.pop("grid", None)
-    loss = LossConfig(
-        lambda_ce=float(tr.pop("lambda_ce", 1.0)),
-        margin=float(tr.pop("margin", 0.0)),
-    )
+    lambda_ce = tr.pop("lambda_ce", 1.0)
+    margin = tr.pop("margin", 0.0)
+    require_real("train.lambda_ce", lambda_ce)
+    require_real("train.margin", margin)
+    loss = LossConfig(lambda_ce=float(lambda_ce), margin=float(margin))
     if "strategy" in tr:
         tr["strategy"] = strategy_from_name(str(tr["strategy"]))
     if "hidden_dims" in tr:
         dims = tr["hidden_dims"]
         if not isinstance(dims, (list, tuple)):
             raise ConfigError(f"train.hidden_dims must be a list, got {dims!r}")
-        tr["hidden_dims"] = tuple(int(d) for d in dims)
+        tr["hidden_dims"] = tuple(dims)
     try:
         cfg = TrainConfig(loss=loss, **tr)
     except TypeError as exc:
@@ -171,7 +172,13 @@ class EvalOptions:
 
 
 def eval_options_from(ev: dict) -> EvalOptions:
-    opts = EvalOptions(**{k: v for k, v in ev.items()})
+    opts = EvalOptions(**ev)
+    for name in ("max_rank", "views_as_query", "seed"):
+        require_int(f"eval.{name}", getattr(opts, name))
+    if not isinstance(opts.exclude_same_view, bool):
+        raise ConfigError(f"eval.exclude_same_view must be true or false, got {opts.exclude_same_view!r}")
+    if opts.normalize_first is not None and not isinstance(opts.normalize_first, bool):
+        raise ConfigError(f"eval.normalize_first must be true, false or null, got {opts.normalize_first!r}")
     if opts.max_rank < 1:
         raise ConfigError(f"eval.max_rank must be >= 1, got {opts.max_rank}")
     if opts.views_as_query < 1:

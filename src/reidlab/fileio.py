@@ -174,8 +174,15 @@ def read_dataset(path) -> tuple[MultimodalDataset, dict]:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataError(f"{manifest_path}: corrupt manifest: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise DataError(f"{manifest_path}: manifest is not a JSON object")
     if manifest.get("format") != "reidlab-dataset" or manifest.get("version") != 1:
         raise DataError(f"{manifest_path}: unsupported dataset manifest")
+    if not isinstance(manifest.get("modalities"), list) or not isinstance(manifest.get("split"), str):
+        raise DataError(f"{manifest_path}: manifest needs a 'modalities' list and a 'split' string")
+    for entry in manifest["modalities"]:
+        if not isinstance(entry, dict) or not {"file", "name"} <= entry.keys():
+            raise DataError(f"{manifest_path}: each modality entry needs 'file' and 'name'")
     features = []
     names = []
     ids = None

@@ -467,6 +467,13 @@ def grads_as_dict(params: ModelParams, stream_grads: list, head_grads) -> dict:
     return out
 
 
+# The keys _model_header writes; load_checkpoint needs every one of them.
+_HEADER_KEYS = frozenset({
+    "strategy", "modality_names", "num_classes", "layer_dims",
+    "stream_classifiers", "fused_dim", "bn_eps", "bn_momentum",
+})
+
+
 def _model_header(params: ModelParams) -> dict:
     return {
         "strategy": params.strategy.value,
@@ -529,6 +536,11 @@ def load_checkpoint(path) -> ModelParams:
         header = json.loads(blob[16 : 16 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"{path}: corrupt checkpoint header: {exc}") from None
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: checkpoint header is not a JSON object")
+    missing = sorted(_HEADER_KEYS - header.keys())
+    if missing:
+        raise DataError(f"{path}: checkpoint header lacks key(s) {missing}")
     offset = 16 + header_len
 
     def take(shape) -> np.ndarray:

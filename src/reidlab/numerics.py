@@ -38,12 +38,24 @@ def as_matrix(a, name: str = "array", check_finite: bool = True) -> Matrix:
     return m
 
 
+# Cache blocking of matmul. An output block of at most _BLOCK_CELLS cells
+# (128 KiB) stays in L2 while all k products are added to it; the products
+# of as many k steps as fit are formed in one call into a scratch buffer of
+# at most _SCRATCH_CELLS cells (256 KiB). A block is always contiguous: it
+# is either whole rows or a piece of one row.
+_BLOCK_CELLS = 16384
+_SCRATCH_CELLS = 32768
+
+
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     """Matrix product with fixed left-to-right summation per output cell.
 
     out[i, j] accumulates a[i, 0]*b[0, j], then a[i, 1]*b[1, j], ... in
-    that exact order, so the result is bit-identical to a naive triple
-    loop and independent of BLAS backend or thread count.
+    that exact order, starting from +0.0, so the result is bit-identical
+    to a naive triple loop and independent of BLAS backend or thread
+    count. The work is split into output blocks and chunks of k; each
+    chunk's products are formed in one call, then added to the block one
+    k step at a time.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -56,22 +68,36 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     out = np.zeros((n, m), dtype=np.float64)
     if n == 0 or m == 0 or k == 0:
         return out
-    tmp = np.empty((n, m), dtype=np.float64)
-    for t in range(k):
-        np.multiply(a[:, t, None], b[t, None, :], out=tmp)
-        np.add(out, tmp, out=out)
+    a_t = np.ascontiguousarray(a.T)
+    b = np.ascontiguousarray(b)
+    cols = min(m, _BLOCK_CELLS)
+    rows = min(n, max(1, _BLOCK_CELLS // cols))
+    steps = min(k, max(1, _SCRATCH_CELLS // (rows * cols)))
+    scratch = np.empty(steps * rows * cols, dtype=np.float64)
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
+        for c0 in range(0, m, cols):
+            c1 = min(c0 + cols, m)
+            block = out[r0:r1, c0:c1]
+            for t0 in range(0, k, steps):
+                t1 = min(t0 + steps, k)
+                prods = scratch[: (t1 - t0) * block.size].reshape(t1 - t0, r1 - r0, c1 - c0)
+                np.einsum("ti,tj->tij", a_t[t0:t1, r0:r1], b[t0:t1, c0:c1], out=prods)
+                # One add per k step keeps the order; np.add.reduce over
+                # axis 0 may sum pairwise, and accumulate is much slower.
+                for p in prods:
+                    np.add(block, p, out=block)
     return out
 
 
 def _row_sqnorms(a: Matrix) -> np.ndarray:
-    # Same left-to-right accumulation as matmul's k-loop, so that
-    # ||x||^2 equals the matmul-computed <x, x> bit for bit.
-    n, d = a.shape
-    out = np.zeros(n, dtype=np.float64)
-    tmp = np.empty(n, dtype=np.float64)
-    for t in range(d):
-        np.multiply(a[:, t], a[:, t], out=tmp)
-        np.add(out, tmp, out=out)
+    # Same left-to-right accumulation as matmul's k-loop, so that ||x||^2
+    # equals the matmul-computed <x, x> bit for bit.
+    a_t = np.ascontiguousarray(a.T)
+    sq = a_t * a_t
+    out = np.zeros(a.shape[0], dtype=np.float64)
+    for p in sq:
+        np.add(out, p, out=out)
     return out
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -44,6 +45,18 @@ from .synthdata import SPLIT_GALLERY, SPLIT_TRAIN, MultimodalDataset, split_quer
 LR_MIN_RATIO = 0.002
 
 
+def require_int(name: str, value) -> None:
+    """ConfigError unless value is an integer (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def require_real(name: str, value) -> None:
+    """ConfigError unless value is a real number (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     strategy: Strategy = Strategy.UNICAT
@@ -59,6 +72,12 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for name in ("p", "k", "epochs", "warmup_epochs", "embed_dim", "seed"):
+            require_int(name, getattr(self, name))
+        for name in ("lr_base", "momentum"):
+            require_real(name, getattr(self, name))
+        for d in self.hidden_dims:
+            require_int("hidden_dims entry", d)
         if self.p < 2 or self.k < 2:
             raise ConfigError(f"P >= 2 and K >= 2 required for triplets, got P={self.p}, K={self.k}")
         if self.lr_base <= 0 or not np.isfinite(self.lr_base):

@@ -141,6 +141,28 @@ def test_train_exit_code_on_bad_strategy(tmp_path):
     assert main(["train", "-c", str(cfg), "-o", str(tmp_path / "x")]) == 2
 
 
+def test_train_value_of_wrong_type_is_config_error(tmp_path, capsys):
+    cfg = _config(tmp_path, data=TINY_DATA, trn=TINY_TRAIN)
+    for override in ('train.p="4"', "train.lambda_ce=abc", "train.hidden_dims=[x]",
+                     "train.seed=true", "train.lr_base=[0.1]"):
+        code = main(["train", "-c", str(cfg), "-o", str(tmp_path / "x"), "--set", override])
+        assert code == 2, override
+        assert "config error" in capsys.readouterr().err
+
+
+def test_manifest_missing_key_is_data_error(tmp_path):
+    gen_cfg = _config(tmp_path, "gen.yaml", data=TINY_DATA)
+    data_dir = tmp_path / "data"
+    assert main(["gen", "-c", str(gen_cfg), "-o", str(data_dir)]) == 0
+    good = (data_dir / "manifest.json").read_text(encoding="utf-8")
+    cfg = _config(tmp_path, "train.yaml", data={"dir": str(data_dir)}, trn=TINY_TRAIN)
+    for key in ("modalities", "split"):
+        manifest = json.loads(good)
+        del manifest[key]
+        (data_dir / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        assert main(["train", "-c", str(cfg), "-o", str(tmp_path / "x")]) == 3, key
+
+
 # ---------------------------------------------------------------- cmd_eval
 
 def _trained_dir(tmp_path, strategy="unicat", m=2):
@@ -189,6 +211,29 @@ def test_eval_dim_mismatch_is_data_error(tmp_path):
                  "-o", str(tmp_path / "x")])
     assert code == 3
     assert main(["eval", "-c", str(cfg), "-o", str(tmp_path / "y")]) == 2  # no checkpoint
+
+
+def test_eval_option_of_wrong_type_is_config_error(tmp_path, capsys):
+    cfg, run = _trained_dir(tmp_path)
+    for override in ("eval.max_rank=ten", "eval.views_as_query=1.5", "eval.exclude_same_view=maybe"):
+        code = main(["eval", "-c", str(cfg), "--checkpoint", str(run / "checkpoint.bin"),
+                     "-o", str(tmp_path / "x"), "--set", override])
+        assert code == 2, override
+        assert "config error" in capsys.readouterr().err
+
+
+def test_checkpoint_missing_header_key_is_data_error(tmp_path):
+    cfg, run = _trained_dir(tmp_path)
+    blob = (run / "checkpoint.bin").read_bytes()
+    header_len = int.from_bytes(blob[8:16], "little")
+    header = json.loads(blob[16 : 16 + header_len])
+    del header["num_classes"]
+    new_header = json.dumps(header).encode("utf-8")
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(blob[:8] + len(new_header).to_bytes(8, "little") + new_header
+                    + blob[16 + header_len :])
+    code = main(["eval", "-c", str(cfg), "--checkpoint", str(bad), "-o", str(tmp_path / "x")])
+    assert code == 3
 
 
 def test_eval_external_files(tmp_path):

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from reidlab.errors import NumericError, ShapeError
 from reidlab.numerics import (
+    _BLOCK_CELLS,
+    _SCRATCH_CELLS,
     GradCheckReport,
     Matrix,
     Rng,
@@ -57,6 +59,82 @@ def test_matmul_property_bitwise_vs_oracle(seed, n, k, m):
     a = r.split("a").normal(n, k)
     b = r.split("b").normal(k, m)
     assert np.array_equal(matmul(a, b), naive_matmul(a, b))
+
+
+def _assert_bitwise(got, want):
+    """Same shape, NaN in the same cells, and the same bits everywhere else."""
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+def test_matmul_bitwise_across_row_blocks_column_blocks_and_k_chunks():
+    rng = Rng(11)
+    # Enough rows for several output blocks, enough k for several chunks.
+    m = 100
+    n = 2 * (_BLOCK_CELLS // m) + 7
+    k = 3 * (_SCRATCH_CELLS // (_BLOCK_CELLS // m * m)) + 1
+    # A row longer than a block is split into column blocks.
+    wide = _BLOCK_CELLS + 123
+    for shape in ((n, k, m), (3, 5, wide)):
+        n_, k_, m_ = shape
+        a = rng.split(f"a{shape}").normal(n_, k_)
+        b = rng.split(f"b{shape}").normal(k_, m_)
+        _assert_bitwise(matmul(a, b), naive_matmul(a, b))
+
+
+def test_matmul_bitwise_degenerate_and_empty_shapes():
+    rng = Rng(12)
+    for n, k, m in ((1, 300, 1), (1, 40, 7), (9, 40, 1), (6, 1, 5), (1, 1, 1)):
+        a = rng.split(f"a{n},{k},{m}").normal(n, k)
+        b = rng.split(f"b{n},{k},{m}").normal(k, m)
+        _assert_bitwise(matmul(a, b), naive_matmul(a, b))
+    for n, k, m in ((0, 3, 2), (2, 0, 3), (2, 3, 0), (0, 0, 0)):
+        out = matmul(np.zeros((n, k)), np.zeros((k, m)))
+        assert out.shape == (n, m) and np.all(out == 0.0) and not np.any(np.signbit(out))
+
+
+def test_matmul_bitwise_with_transposed_and_strided_operands():
+    rng = Rng(13)
+    x = rng.split("x").normal(37, 21)
+    w = rng.split("w").normal(53, 21)
+    # as the model passes its weights: b = w.T, a Fortran-ordered view
+    _assert_bitwise(matmul(x, w.T), naive_matmul(x, w.T))
+    # a transposed left operand and a strided right one
+    g = rng.split("g").normal(21, 37)
+    _assert_bitwise(matmul(g.T, w[::2].T), naive_matmul(g.T, w[::2].T))
+
+
+def test_matmul_bitwise_with_signed_zeros_and_special_values():
+    # Products of -0.0 must sum to +0.0, as a triple loop starting at +0.0 does.
+    a = np.full((3, 4), -0.0)
+    b = np.ones((4, 5))
+    out = matmul(a, b)
+    assert np.all(out == 0.0) and not np.any(np.signbit(out))
+    _assert_bitwise(matmul(-np.ones((2, 3)), np.zeros((3, 4))), naive_matmul(-np.ones((2, 3)), np.zeros((3, 4))))
+
+    values = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                       2.2e-308, 1e-160, 1.0, -3.5, 1e308])
+    rng = Rng(14)
+    with np.errstate(all="ignore"):
+        for trial in range(6):
+            r = rng.split(f"t{trial}")
+            n, k, m = (int(r.integers(1, 12)) for _ in range(3))
+            a = values[r.split("a").integers(0, values.size, size=(n, k))]
+            b = values[r.split("b").integers(0, values.size, size=(k, m))]
+            _assert_bitwise(matmul(a, b), naive_matmul(a, b))
+        # subnormal results: products underflow, sums stay in the subnormal range
+        a = np.full((4, 6), 1e-160)
+        b = np.full((6, 3), 3e-160)
+        _assert_bitwise(matmul(a, b), naive_matmul(a, b))
+
+
+def test_pairwise_euclidean_identical_rows_exact_zero_across_blocks():
+    x = Rng(15).normal(2 * int(np.sqrt(_BLOCK_CELLS)) + 5, 40) * 2.3
+    d = pairwise_euclidean(x, x)
+    assert np.all(np.diag(d) == 0.0)
+    np.testing.assert_allclose(d[:6, :6], naive_pairwise_euclidean(x[:6], x[:6]), rtol=0, atol=1e-12)
 
 
 def test_pairwise_euclidean_matches_naive():
