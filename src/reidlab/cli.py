@@ -22,7 +22,7 @@ import numpy as np
 import yaml
 
 from . import evalkit, fileio
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, require_int, require_real
 from .evalkit import (
     EmbeddingSet,
     SUITE_NAMES,
@@ -37,7 +37,7 @@ from .evalkit import (
 from .model import FUSED_SELECTOR, embed_dataset, load_checkpoint
 from .numerics import Rng
 from .objectives import FusionOperator, LossConfig, fuse, strategy_from_name
-from .pipeline import TrainConfig, config_hash, grid_search, require_int, require_real, train
+from .pipeline import TrainConfig, config_hash, grid_search, train
 from .synthdata import (
     SPLIT_GALLERY,
     MultimodalDataset,
@@ -124,7 +124,9 @@ def apply_overrides(cfg: dict, sets: list) -> dict:
 def synth_config_from(data: dict) -> SynthConfig:
     fields = {k: v for k, v in data.items() if k not in ("preset", "dir")}
     if "preset" in data:
-        base = preset(str(data["preset"]), int(fields.pop("seed", 0)))
+        seed = fields.pop("seed", 0)
+        require_int("data.seed", seed)
+        base = preset(str(data["preset"]), seed)
         base_dict = fileio.synth_config_dict(base)
         base_dict.update(fields)
         fields = base_dict
@@ -157,8 +159,12 @@ def train_config_from(tr: dict) -> tuple[TrainConfig, Optional[dict]]:
         raise ConfigError(f"bad train section: {exc}") from None
     cfg.validate()
     if grid is not None:
-        if not grid.get("batch_sizes") or not grid.get("lr_values"):
-            raise ConfigError("train.grid needs non-empty batch_sizes and lr_values")
+        for name, check in (("batch_sizes", require_int), ("lr_values", require_real)):
+            values = grid.get(name)
+            if not isinstance(values, list) or not values:
+                raise ConfigError(f"train.grid.{name} must be a non-empty list, got {values!r}")
+            for v in values:
+                check(f"train.grid.{name} entry", v)
     return cfg, grid
 
 
@@ -421,7 +427,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=5, help="number of seeds (default 5)")
     p.add_argument("--seed-base", type=int, default=0)
     p.add_argument("--epochs", type=int, default=None, help="override the suite's epoch count")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs", type=int, default=None,
+        help="worker processes for the (seed, strategy) cells (default: usable CPUs); "
+        "outputs do not depend on it",
+    )
     p.set_defaults(func=cmd_repro)
     return parser
 

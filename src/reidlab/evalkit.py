@@ -15,6 +15,7 @@ ensemble direction, and train-vs-test laziness diagnostics.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
@@ -370,70 +371,120 @@ def _suite_dataset(suite: str, seed: int) -> MultimodalDataset:
     return generate(clean_preset(seed))
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has CPU affinity
+        return os.cpu_count() or 1
+
+
+def _suite_cell(suite: str, ds: MultimodalDataset, seed: int, strategy: Strategy, epochs: int) -> list:
+    """Train one (seed, strategy) cell; its [(target, (mAP, rank1)), ...] in target order."""
+    rec = train(ds, suite_train_config(strategy, seed, epochs))
+    out = []
+    for i in range(ds.num_modalities):
+        rep = eval_unimodal(rec.model, ds, i)
+        if suite == "train-vs-test":
+            out.append((f"mod{i}/test", (rep.map, rep.rank1)))
+            rep = eval_trainset(rec.model, ds, i)
+            out.append((f"mod{i}/train", (rep.map, rep.rank1)))
+        else:
+            out.append((ds.modality_names[i], (rep.map, rep.rank1)))
+    rep = eval_multimodal(rec.model, ds)
+    out.append(("multimodal/test" if suite == "train-vs-test" else "multimodal", (rep.map, rep.rank1)))
+    return out
+
+
+def _suite_share(suite: str, epochs: int, cells: list) -> tuple:
+    """Run [(cell index, (seed, strategy)), ...] in order, stopping at the first failure.
+
+    Returns (results of the finished cells, None or (index, exception) of
+    the failed one). A seed's dataset is generated once for consecutive
+    cells of that seed.
+    """
+    done = []
+    ds_seed, ds = None, None
+    for index, (seed, strategy) in cells:
+        try:
+            if seed != ds_seed:
+                ds_seed, ds = seed, _suite_dataset(suite, seed)
+            done.append(_suite_cell(suite, ds, seed, strategy, epochs))
+        except Exception as exc:
+            return done, (index, exc)
+    return done, None
+
+
 def run_suite(
     suite: str,
     seeds: Sequence[int],
     epochs: Optional[int] = None,
-    jobs: int = 1,
+    jobs: Optional[int] = None,
 ) -> SuiteResult:
     """Train all strategies per seed on the suite's preset and aggregate.
 
-    jobs is accepted for interface stability; execution is sequential
-    (results are defined to be independent of worker count).
+    Each (seed, strategy) cell is an independent training run. Cell i
+    runs in worker i mod jobs: worker 0 is this process, the others are
+    helper processes. jobs=None means every usable CPU; it is capped at
+    the cell count. Results merge in (seed, strategy, target) order, so
+    the result does not depend on jobs. On failure, the error of the
+    lowest-indexed failing cell is raised, as a sequential run would.
     """
     if suite not in SUITE_NAMES:
         raise ConfigError(f"unknown suite {suite!r}; expected one of: {', '.join(SUITE_NAMES)}")
     seeds = tuple(int(s) for s in seeds)
     if len(seeds) == 0:
         raise ConfigError("run_suite needs at least one seed")
-    if jobs < 1:
+    if jobs is not None and jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     epochs = suite_epochs(suite, epochs)
 
-    raw = {}
-    for seed in seeds:
-        ds = _suite_dataset(suite, seed)
-        num_streams = ds.num_modalities
-        for strategy in ALL_STRATEGIES:
-            rec = train(ds, suite_train_config(strategy, seed, epochs))
-            s = strategy.value
-            if suite == "train-vs-test":
-                for i in range(num_streams):
-                    rep = eval_unimodal(rec.model, ds, i)
-                    raw[(seed, s, f"mod{i}/test")] = (rep.map, rep.rank1)
-                    rep = eval_trainset(rec.model, ds, i)
-                    raw[(seed, s, f"mod{i}/train")] = (rep.map, rep.rank1)
-                rep = eval_multimodal(rec.model, ds)
-                raw[(seed, s, "multimodal/test")] = (rep.map, rep.rank1)
-            else:
-                for i in range(num_streams):
-                    rep = eval_unimodal(rec.model, ds, i)
-                    raw[(seed, s, ds.modality_names[i])] = (rep.map, rep.rank1)
-                rep = eval_multimodal(rec.model, ds)
-                raw[(seed, s, "multimodal")] = (rep.map, rep.rank1)
+    cells = list(enumerate((seed, strategy) for seed in seeds for strategy in ALL_STRATEGIES))
+    jobs = min(len(cells), _usable_cpus() if jobs is None else jobs)
+    if jobs == 1:
+        shares = [_suite_share(suite, epochs, cells)]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
 
-    targets = []
-    for (seed, s, t) in raw:
-        if t not in targets:
-            targets.append(t)
-    cells = {}
+        # Imported here so that importing the CLI does not pay for the
+        # pool. Helpers start with the platform's default method (fork on
+        # Linux: no fresh numpy import on the critical path); the shares'
+        # arguments and results pickle under any start method.
+        with ProcessPoolExecutor(max_workers=jobs - 1) as pool:
+            helpers = [
+                pool.submit(_suite_share, suite, epochs, cells[w::jobs]) for w in range(1, jobs)
+            ]
+            shares = [_suite_share(suite, epochs, cells[0::jobs])] + [h.result() for h in helpers]
+    failures = [failure for _, failure in shares if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+
+    per_cell = [None] * len(cells)
+    for w, (done, _) in enumerate(shares):
+        per_cell[w::jobs] = done
+    raw = {}
+    for (_, (seed, strategy)), results in zip(cells, per_cell):
+        for t, value in results:
+            raw[(seed, strategy.value, t)] = value
+
+    targets = list(dict.fromkeys(t for (_, _, t) in raw))
+    table_cells = {}
     for strategy in ALL_STRATEGIES:
         s = strategy.value
         for t in targets:
             maps = np.array([raw[(seed, s, t)][0] for seed in seeds])
             r1s = np.array([raw[(seed, s, t)][1] for seed in seeds])
-            cells[(s, t)] = TableCell(
+            table_cells[(s, t)] = TableCell(
                 map_mean=float(maps.mean()),
                 map_std=float(maps.std()),
                 rank1_mean=float(r1s.mean()),
                 rank1_std=float(r1s.std()),
             )
-    table = ExperimentTable(suite=suite, num_seeds=len(seeds), cells=cells)
-    claims = _suite_claims(suite, seeds, raw)
+    table = ExperimentTable(suite=suite, num_seeds=len(seeds), cells=table_cells)
+    claims = _suite_claims(suite, seeds, raw, targets)
     return SuiteResult(suite=suite, seeds=seeds, table=table, claims=claims, raw=raw)
 
 
-def _suite_claims(suite: str, seeds: tuple, raw: dict) -> list:
+def _suite_claims(suite: str, seeds: tuple, raw: dict, targets: list) -> list:
     uni = Strategy.UNICAT.value
     favg = Strategy.FUSION_AVG.value
     fcat = Strategy.FUSION_CONCAT.value
@@ -443,7 +494,7 @@ def _suite_claims(suite: str, seeds: tuple, raw: dict) -> list:
 
     claims = []
     if suite == "laziness-clean":
-        streams = [t for t in _targets_of(raw) if t.startswith("mod")]
+        streams = [t for t in targets if t.startswith("mod")]
         claims.append(_claim(
             "unicat-per-stream-test-map-beats-both-fusions",
             [
@@ -477,7 +528,7 @@ def _suite_claims(suite: str, seeds: tuple, raw: dict) -> list:
             ],
         ))
     else:  # train-vs-test
-        streams = sorted({t.split("/")[0] for t in _targets_of(raw) if t.startswith("mod")})
+        streams = sorted({t.split("/")[0] for t in targets if t.startswith("mod")})
         claims.append(_claim(
             "fusion-trainset-per-stream-map-below-unicat",
             [
@@ -501,14 +552,6 @@ def _suite_claims(suite: str, seeds: tuple, raw: dict) -> list:
             ],
         ))
     return claims
-
-
-def _targets_of(raw: dict) -> list:
-    seen = []
-    for (_, _, t) in raw:
-        if t not in seen:
-            seen.append(t)
-    return seen
 
 
 def _fmt_pct(mean: float, std: float) -> str:

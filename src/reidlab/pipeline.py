@@ -14,13 +14,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError, ShapeError
+from .errors import ConfigError, DataError, NumericError, ShapeError, require_int, require_real
 from .model import (
     ModelParams,
     grads_as_dict,
@@ -43,18 +42,6 @@ from .objectives import (
 from .synthdata import SPLIT_GALLERY, SPLIT_TRAIN, MultimodalDataset, split_query_gallery
 
 LR_MIN_RATIO = 0.002
-
-
-def require_int(name: str, value) -> None:
-    """ConfigError unless value is an integer (a bool is not one)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-
-
-def require_real(name: str, value) -> None:
-    """ConfigError unless value is a real number (a bool is not one)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError, ShapeError
+from .errors import ConfigError, DataError, NumericError, ShapeError, require_int, require_real
 from .numerics import Rng, matmul
 
 SPLIT_TRAIN = 0
@@ -28,13 +28,17 @@ SPLIT_QUERY = 1
 SPLIT_GALLERY = 2
 
 
-def _per_modality(value, m: int, cast) -> tuple:
+def _per_modality(name: str, value, m: int, check, cast) -> tuple:
+    """value as m per-modality entries, each type-checked by check, then cast."""
     if isinstance(value, (list, tuple, np.ndarray)):
-        vals = tuple(cast(v) for v in value)
+        vals = tuple(value)
         if len(vals) != m:
             raise ConfigError(f"expected {m} per-modality values, got {len(vals)}")
-        return vals
-    return tuple(cast(value) for _ in range(m))
+    else:
+        vals = (value,) * m
+    for v in vals:
+        check(f"data.{name} entry", v)
+    return tuple(cast(v) for v in vals)
 
 
 @dataclass
@@ -53,13 +57,18 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("num_modalities", "latent_dim", "ids_train", "ids_test", "views_per_id", "seed"):
+            require_int(f"data.{name}", getattr(self, name))
+        require_real("data.view_jitter", self.view_jitter)
         m = int(self.num_modalities)
         self.num_modalities = m
-        self.obs_dim = _per_modality(self.obs_dim, m, int)
-        self.signal_scale = _per_modality(self.signal_scale, m, float)
-        self.noise_sigma = _per_modality(self.noise_sigma, m, float)
-        self.spurious_dim = _per_modality(self.spurious_dim, m, int)
-        self.spurious_strength = _per_modality(self.spurious_strength, m, float)
+        self.obs_dim = _per_modality("obs_dim", self.obs_dim, m, require_int, int)
+        self.signal_scale = _per_modality("signal_scale", self.signal_scale, m, require_real, float)
+        self.noise_sigma = _per_modality("noise_sigma", self.noise_sigma, m, require_real, float)
+        self.spurious_dim = _per_modality("spurious_dim", self.spurious_dim, m, require_int, int)
+        self.spurious_strength = _per_modality(
+            "spurious_strength", self.spurious_strength, m, require_real, float
+        )
 
     def validate(self) -> None:
         if self.num_modalities < 1:

@@ -1,12 +1,14 @@
 import json
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+from reidlab import evalkit
 from reidlab.cli import apply_overrides, load_config, main, validate_config
-from reidlab.errors import ConfigError
+from reidlab.errors import ConfigError, NumericError
 from reidlab.fileio import read_dataset, write_embedding_file
 from reidlab.synthdata import SynthConfig, generate
 
@@ -103,6 +105,13 @@ def test_gen_preset_with_field_overrides(tmp_path):
     assert manifest["config"]["seed"] == 1
 
 
+@pytest.mark.parametrize("override", ["data.ids_train=ten", "data.noise_sigma=loud"])
+def test_gen_data_value_of_wrong_type_is_config_error(tmp_path, capsys, override):
+    cfg = _config(tmp_path, data=TINY_DATA)
+    assert main(["gen", "-c", str(cfg), "-o", str(tmp_path / "x"), "--set", override]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------- cmd_train
 
 def test_train_writes_run_record_and_reruns_identically(tmp_path):
@@ -148,6 +157,16 @@ def test_train_value_of_wrong_type_is_config_error(tmp_path, capsys):
         code = main(["train", "-c", str(cfg), "-o", str(tmp_path / "x"), "--set", override])
         assert code == 2, override
         assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", [
+    {"batch_sizes": ["x"], "lr_values": [0.05]},
+    {"batch_sizes": [4], "lr_values": ["fast"]},
+])
+def test_train_grid_entry_of_wrong_type_is_config_error(tmp_path, capsys, grid):
+    cfg = _config(tmp_path, data=TINY_DATA, trn=dict(TINY_TRAIN, grid=grid))
+    assert main(["train", "-c", str(cfg), "-o", str(tmp_path / "x")]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_manifest_missing_key_is_data_error(tmp_path):
@@ -283,6 +302,62 @@ def test_repro_is_bytewise_reproducible(tmp_path):
         assert main(["repro", "ensemble", "-o", str(out), "--seeds", "1", "--epochs", "2"]) == 0
     for p in sorted(out1.iterdir()):
         assert p.read_bytes() == (out2 / p.name).read_bytes()
+
+
+def _dir_bytes(path):
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+def test_repro_outputs_do_not_depend_on_jobs(tmp_path):
+    outputs = []
+    for jobs in (["--jobs", "1"], ["--jobs", "2"], ["--jobs", "8"], []):
+        out = tmp_path / f"s{len(outputs)}"
+        argv = ["repro", "laziness-clean", "-o", str(out), "--seeds", "2", "--epochs", "2"]
+        assert main(argv + jobs) == 0, jobs
+        outputs.append(_dir_bytes(out))
+    assert len(outputs[0]) == 5
+    assert all(o == outputs[0] for o in outputs[1:])
+
+
+@pytest.fixture
+def fork_start_method():
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the fork start method is not available")
+    old = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("fork", force=True)
+    yield
+    multiprocessing.set_start_method(old, force=True)
+
+
+# Cells run in (seed, strategy) order; at --jobs 2, this process runs
+# cells 0, 2, 4 and the helper runs 1, 3, 5.
+@pytest.mark.parametrize("failing", [{3, 4}, {2, 3}, {5}])
+def test_repro_failing_cell_error_does_not_depend_on_jobs(
+    tmp_path, capsys, monkeypatch, fork_start_method, failing
+):
+    real_train = evalkit.train
+
+    def train(ds, cfg):
+        index = 3 * cfg.seed + evalkit.ALL_STRATEGIES.index(cfg.strategy)
+        if index in failing:
+            raise NumericError(f"cell {index} diverged")
+        return real_train(ds, cfg)
+
+    monkeypatch.setattr(evalkit, "train", train)
+    errs = []
+    for jobs in ("1", "2"):
+        argv = ["repro", "weak-link", "-o", str(tmp_path / jobs), "--seeds", "2",
+                "--epochs", "1", "--jobs", jobs]
+        assert main(argv) == 4, jobs
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] == f"numeric error: cell {min(failing)} diverged\n"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_repro_rejects_nonpositive_jobs(tmp_path, capsys, jobs):
+    argv = ["repro", "ensemble", "-o", str(tmp_path / "x"), "--seeds", "1", "--jobs", jobs]
+    assert main(argv) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_repro_rejects_unknown_suite(capsys):

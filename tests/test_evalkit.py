@@ -285,6 +285,14 @@ def test_run_suite_single_seed_structure():
         assert 0 <= m <= 1 and 0 <= r1 <= 1
 
 
+def test_run_suite_raw_does_not_depend_on_jobs():
+    one = run_suite("ensemble", seeds=[0, 1], epochs=2, jobs=1)
+    two = run_suite("ensemble", seeds=[0, 1], epochs=2, jobs=2)
+    assert list(two.raw.items()) == list(one.raw.items())
+    assert list(two.table.cells.items()) == list(one.table.cells.items())
+    assert two.claims == one.claims
+
+
 def test_run_suite_validation():
     with pytest.raises(ConfigError):
         run_suite("nope", seeds=[0])
