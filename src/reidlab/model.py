@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -70,10 +70,6 @@ class StreamParams:
     @property
     def layer_dims(self) -> list[int]:
         return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
-
-    @property
-    def embed_dim(self) -> int:
-        return self.weights[-1].shape[0]
 
 
 @dataclass
@@ -204,7 +200,6 @@ class StreamOutput:
     z_bn: Matrix
     logits: Optional[Matrix]
     cache: Optional[StreamCache]
-    train: bool
 
 
 @dataclass
@@ -213,7 +208,6 @@ class HeadOutput:
     z_bn: Matrix
     logits: Matrix
     bn_cache: Optional[BnCache]
-    train: bool
 
 
 def _bn_forward(
@@ -273,7 +267,7 @@ def stream_forward(
     z_bn, bn_cache = _bn_forward(params.bn, z, train, update_running)
     logits = matmul(z_bn, params.classifier.T) if params.classifier is not None else None
     cache = StreamCache(hiddens=hiddens, pre_acts=pre_acts, bn=bn_cache) if train else None
-    return StreamOutput(z=z, z_bn=z_bn, logits=logits, cache=cache, train=train)
+    return StreamOutput(z=z, z_bn=z_bn, logits=logits, cache=cache)
 
 
 def head_forward(
@@ -286,24 +280,10 @@ def head_forward(
         )
     z_bn, bn_cache = _bn_forward(head.bn, z_fuse, train, update_running)
     logits = matmul(z_bn, head.classifier.T)
-    return HeadOutput(z=z_fuse, z_bn=z_bn, logits=logits, bn_cache=bn_cache, train=train)
+    return HeadOutput(z=z_fuse, z_bn=z_bn, logits=logits, bn_cache=bn_cache)
 
 
-@dataclass
-class StreamGrads:
-    weights: list
-    biases: list
-    gamma: np.ndarray
-    classifier: Optional[np.ndarray]
-
-
-@dataclass
-class HeadGrads:
-    gamma: np.ndarray
-    classifier: np.ndarray
-
-
-def _mlp_backward(params: StreamParams, cache: StreamCache, grad_z: Matrix) -> StreamGrads:
+def _mlp_backward(params: StreamParams, cache: StreamCache, grad_z: Matrix) -> tuple[list, list]:
     grads_w = [None] * len(params.weights)
     grads_b = [None] * len(params.biases)
     g = grad_z
@@ -316,7 +296,7 @@ def _mlp_backward(params: StreamParams, cache: StreamCache, grad_z: Matrix) -> S
             grads_b[l] = g.sum(axis=0)
         if l > 0:
             g = matmul(g, params.weights[l])
-    return StreamGrads(weights=grads_w, biases=grads_b, gamma=None, classifier=None)
+    return grads_w, grads_b
 
 
 def stream_backward(
@@ -324,12 +304,13 @@ def stream_backward(
     output: StreamOutput,
     grad_z: Optional[Matrix],
     grad_logits: Optional[Matrix],
-) -> StreamGrads:
-    """Exact gradients for one stream.
+) -> StreamParams:
+    """Exact gradients for one stream, in the stream's own structure.
 
     grad_z enters at the pre-BN embedding (triplet path); grad_logits at
     the classifier output (CE path, back through the BNNeck). Either may
-    be None (treated as zero).
+    be None (treated as zero). The classifier gradient is None without
+    grad_logits, and the BN running statistics are None.
     """
     if output.cache is None:
         raise StateError("stream_backward requires a train-mode output with caches")
@@ -350,10 +331,9 @@ def stream_backward(
         g_zbn = matmul(grad_logits, params.classifier)
         g_from_bn, grad_gamma = _bn_backward(params.bn, output.cache.bn, g_zbn)
         total_gz = total_gz + g_from_bn
-    grads = _mlp_backward(params, output.cache, total_gz)
-    grads.gamma = grad_gamma
-    grads.classifier = grad_classifier
-    return grads
+    grads_w, grads_b = _mlp_backward(params, output.cache, total_gz)
+    bn = BnNeck(grad_gamma, running_mean=None, running_var=None)
+    return StreamParams(weights=grads_w, biases=grads_b, bn=bn, classifier=grad_classifier)
 
 
 def head_backward(
@@ -361,8 +341,8 @@ def head_backward(
     output: HeadOutput,
     grad_z: Optional[Matrix],
     grad_logits: Optional[Matrix],
-) -> tuple[HeadGrads, Matrix]:
-    """Gradients of the fused head, plus the gradient at z_fuse."""
+) -> tuple[FusedHead, Matrix]:
+    """Gradients of the fused head (as a FusedHead), plus the gradient at z_fuse."""
     if output.bn_cache is None:
         raise StateError("head_backward requires a train-mode output with caches")
     total_gz = np.zeros_like(output.z) if grad_z is None else np.array(grad_z, dtype=np.float64)
@@ -373,7 +353,8 @@ def head_backward(
         g_zbn = matmul(grad_logits, head.classifier)
         g_from_bn, grad_gamma = _bn_backward(head.bn, output.bn_cache, g_zbn)
         total_gz = total_gz + g_from_bn
-    return HeadGrads(gamma=grad_gamma, classifier=grad_classifier), total_gz
+    bn = BnNeck(grad_gamma, running_mean=None, running_var=None)
+    return FusedHead(bn=bn, classifier=grad_classifier), total_gz
 
 
 FUSED_SELECTOR = "multimodal"
@@ -429,49 +410,42 @@ def embed_dataset(
     return fuse(feats, FusionOperator.CONCAT, normalize_first=normalize_first)
 
 
+def param_slots(params: ModelParams) -> list[tuple[str, np.ndarray, bool]]:
+    """Every stored array as (key, live array, trainable), in checkpoint order.
+
+    The one walk of the parameter structure. Per stream: each layer's W
+    (and hidden-layer bias), BN gamma, running_mean and running_var, the
+    classifier if present; then the fused head's BN and classifier. BN
+    running statistics are not trainable, and None in a gradient structure.
+    """
+    slots = []
+
+    def add_bn(prefix: str, bn: BnNeck) -> None:
+        slots.append((f"{prefix}.gamma", bn.gamma, True))
+        slots.append((f"{prefix}.running_mean", bn.running_mean, False))
+        slots.append((f"{prefix}.running_var", bn.running_var, False))
+
+    for i, s in enumerate(params.streams):
+        for l, w in enumerate(s.weights):
+            slots.append((f"stream{i}.w{l}", w, True))
+            if l < len(s.biases):
+                slots.append((f"stream{i}.b{l}", s.biases[l], True))
+        add_bn(f"stream{i}", s.bn)
+        if s.classifier is not None:
+            slots.append((f"stream{i}.classifier", s.classifier, True))
+    if params.fused is not None:
+        add_bn("fused", params.fused.bn)
+        slots.append(("fused.classifier", params.fused.classifier, True))
+    return slots
+
+
 def iter_trainables(params: ModelParams) -> list[tuple[str, np.ndarray]]:
     """Deterministically ordered (key, array) pairs of trained parameters.
 
     Arrays are the live parameter buffers; optimizers update them in
     place. BN running statistics are buffers, not trainables.
     """
-    out = []
-    for i, s in enumerate(params.streams):
-        for l, w in enumerate(s.weights):
-            out.append((f"stream{i}.w{l}", w))
-            if l < len(s.biases):
-                out.append((f"stream{i}.b{l}", s.biases[l]))
-        out.append((f"stream{i}.gamma", s.bn.gamma))
-        if s.classifier is not None:
-            out.append((f"stream{i}.classifier", s.classifier))
-    if params.fused is not None:
-        out.append(("fused.gamma", params.fused.bn.gamma))
-        out.append(("fused.classifier", params.fused.classifier))
-    return out
-
-
-def grads_as_dict(params: ModelParams, stream_grads: list, head_grads) -> dict:
-    """Flatten per-stream/fused gradients into the iter_trainables keys."""
-    out = {}
-    for i, g in enumerate(stream_grads):
-        for l in range(len(g.weights)):
-            out[f"stream{i}.w{l}"] = g.weights[l]
-            if l < len(g.biases):
-                out[f"stream{i}.b{l}"] = g.biases[l]
-        out[f"stream{i}.gamma"] = g.gamma
-        if g.classifier is not None:
-            out[f"stream{i}.classifier"] = g.classifier
-    if head_grads is not None:
-        out["fused.gamma"] = head_grads.gamma
-        out["fused.classifier"] = head_grads.classifier
-    return out
-
-
-# The keys _model_header writes; load_checkpoint needs every one of them.
-_HEADER_KEYS = frozenset({
-    "strategy", "modality_names", "num_classes", "layer_dims",
-    "stream_classifiers", "fused_dim", "bn_eps", "bn_momentum",
-})
+    return [(key, arr) for key, arr, trainable in param_slots(params) if trainable]
 
 
 def _model_header(params: ModelParams) -> dict:
@@ -487,22 +461,6 @@ def _model_header(params: ModelParams) -> dict:
     }
 
 
-def _checkpoint_arrays(params: ModelParams) -> list[np.ndarray]:
-    arrays = []
-    for s in params.streams:
-        for l, w in enumerate(s.weights):
-            arrays.append(w)
-            if l < len(s.biases):
-                arrays.append(s.biases[l])
-        arrays.extend([s.bn.gamma, s.bn.running_mean, s.bn.running_var])
-        if s.classifier is not None:
-            arrays.append(s.classifier)
-    if params.fused is not None:
-        f = params.fused
-        arrays.extend([f.bn.gamma, f.bn.running_mean, f.bn.running_var, f.classifier])
-    return arrays
-
-
 def save_checkpoint(params: ModelParams, path) -> None:
     """Versioned binary blob: JSON header + flat little-endian float64 arrays.
 
@@ -510,7 +468,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
     header, then per stream: for each layer W (and hidden-layer bias),
     BN gamma/running_mean/running_var, classifier if present; then the
     fused head (gamma, running stats, classifier) if present. Array order
-    matches _checkpoint_arrays.
+    matches param_slots.
     """
     params.validate()
     header = json.dumps(_model_header(params), sort_keys=True).encode("utf-8")
@@ -519,8 +477,25 @@ def save_checkpoint(params: ModelParams, path) -> None:
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)
-        for arr in _checkpoint_arrays(params):
+        for _, arr, _ in param_slots(params):
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+
+
+class _PayloadDraws:
+    """Rng stand-in for a checkpoint's skeleton: it draws zeros, and rejects
+    the header once its matrices need more floats than the payload holds."""
+
+    def __init__(self, floats: int):
+        self.floats = floats
+
+    def split(self, tag: str) -> "_PayloadDraws":
+        return self
+
+    def normal(self, rows: int, cols: int) -> np.ndarray:
+        self.floats -= rows * cols
+        if self.floats < 0:
+            raise DataError("the header describes more parameters than the payload holds")
+        return np.zeros((rows, cols), dtype=np.float64)
 
 
 def load_checkpoint(path) -> ModelParams:
@@ -538,63 +513,30 @@ def load_checkpoint(path) -> ModelParams:
         raise DataError(f"{path}: corrupt checkpoint header: {exc}") from None
     if not isinstance(header, dict):
         raise DataError(f"{path}: checkpoint header is not a JSON object")
-    missing = sorted(_HEADER_KEYS - header.keys())
-    if missing:
-        raise DataError(f"{path}: checkpoint header lacks key(s) {missing}")
     offset = 16 + header_len
-
-    def take(shape) -> np.ndarray:
-        nonlocal offset
-        count = int(np.prod(shape))
-        end = offset + 8 * count
-        if end > len(blob):
-            raise DataError(f"{path}: checkpoint truncated")
-        arr = np.frombuffer(blob[offset:end], dtype="<f8").astype(np.float64).reshape(shape)
-        offset = end
-        return arr
-
-    strategy = Strategy(header["strategy"])
-    num_classes = int(header["num_classes"])
-    streams = []
-    for dims in header["layer_dims"]:
-        weights = []
-        biases = []
-        n_layers = len(dims) - 1
-        for l, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-            weights.append(take((fan_out, fan_in)))
-            if l < n_layers - 1:
-                biases.append(take((fan_out,)))
-        embed = dims[-1]
-        bn = BnNeck(
-            gamma=take((embed,)),
-            running_mean=take((embed,)),
-            running_var=take((embed,)),
-            eps=float(header["bn_eps"]),
-            momentum=float(header["bn_momentum"]),
+    try:
+        dims = header["layer_dims"]
+        params = init_model(
+            [d[0] for d in dims],
+            header["modality_names"],
+            Strategy(header["strategy"]),
+            header["num_classes"],
+            _PayloadDraws((len(blob) - offset) // 8),
+            hidden_dims=dims[0][1:-1],
+            embed_dim=dims[0][-1],
         )
-        classifier = take((num_classes, embed)) if header["stream_classifiers"] else None
-        streams.append(StreamParams(weights=weights, biases=biases, bn=bn, classifier=classifier))
-    fused = None
-    if header["fused_dim"] is not None:
-        fd = int(header["fused_dim"])
-        fused = FusedHead(
-            bn=BnNeck(
-                gamma=take((fd,)),
-                running_mean=take((fd,)),
-                running_var=take((fd,)),
-                eps=float(header["bn_eps"]),
-                momentum=float(header["bn_momentum"]),
-            ),
-            classifier=take((num_classes, fd)),
-        )
-    if offset != len(blob):
-        raise DataError(f"{path}: {len(blob) - offset} unexpected trailing bytes")
-    params = ModelParams(
-        streams=streams,
-        fused=fused,
-        strategy=strategy,
-        modality_names=[str(n) for n in header["modality_names"]],
-        num_classes=num_classes,
-    )
+    except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed checkpoint header: {exc!r}") from None
+    written = _model_header(params)
+    if written != header:
+        keys = sorted(k for k in written.keys() | header.keys() if written.get(k) != header.get(k))
+        raise DataError(f"{path}: checkpoint header key(s) {keys} differ from what this program writes")
+    slots = param_slots(params)
+    size = 8 * sum(arr.size for _, arr, _ in slots)
+    if offset + size != len(blob):
+        raise DataError(f"{path}: payload has {len(blob) - offset} bytes, its header needs {size}")
+    for _, arr, _ in slots:
+        arr[...] = np.frombuffer(blob, dtype="<f8", count=arr.size, offset=offset).reshape(arr.shape)
+        offset += 8 * arr.size
     params.validate()
     return params

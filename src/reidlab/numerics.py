@@ -174,11 +174,6 @@ class Rng:
         return self._gen.choice(a, size=size, replace=replace)
 
 
-def rng_normal(rng: Rng, rows: int, cols: int) -> Matrix:
-    """Standard-normal matrix from the stream; same seed, same bits."""
-    return rng.normal(rows, cols)
-
-
 @dataclass(frozen=True)
 class GradCheckReport:
     """Result of one finite-difference sweep over a parameter vector."""

@@ -22,7 +22,6 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericError, ShapeError, require_int, require_real
 from .model import (
     ModelParams,
-    grads_as_dict,
     head_backward,
     head_forward,
     init_model,
@@ -218,20 +217,17 @@ def batch_gradients(
         z_fuse = fuse([o.z for o in outs], op)
         head_out = head_forward(model.fused, z_fuse, train=True, update_running=update_running)
     loss, sgrads = strategy_loss(outs, head_out, y_batch, model.strategy, loss_cfg)
+    fused = None
+    per_stream = sgrads.per_stream
     if model.strategy.is_fusion:
-        head_grads, gz_fuse = head_backward(model.fused, head_out, sgrads.fused[0], sgrads.fused[1])
-        per_stream_gz = split_fusion_grad(gz_fuse, op, [o.z.shape[1] for o in outs])
-        stream_grads = [
-            stream_backward(model.streams[i], outs[i], per_stream_gz[i], None)
-            for i in range(num_streams)
-        ]
-    else:
-        head_grads = None
-        stream_grads = [
-            stream_backward(model.streams[i], outs[i], gz, glog)
-            for i, (gz, glog) in enumerate(sgrads.per_stream)
-        ]
-    return loss, grads_as_dict(model, stream_grads, head_grads)
+        fused, gz_fuse = head_backward(model.fused, head_out, sgrads.fused[0], sgrads.fused[1])
+        gzs = split_fusion_grad(gz_fuse, op, [o.z.shape[1] for o in outs])
+        per_stream = [(gz, None) for gz in gzs]
+    streams = [
+        stream_backward(model.streams[i], outs[i], gz, glog)
+        for i, (gz, glog) in enumerate(per_stream)
+    ]
+    return loss, dict(iter_trainables(replace(model, streams=streams, fused=fused)))
 
 
 def train(ds: MultimodalDataset, cfg: TrainConfig) -> RunRecord:

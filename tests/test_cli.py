@@ -241,18 +241,32 @@ def test_eval_option_of_wrong_type_is_config_error(tmp_path, capsys):
         assert "config error" in capsys.readouterr().err
 
 
-def test_checkpoint_missing_header_key_is_data_error(tmp_path):
-    cfg, run = _trained_dir(tmp_path)
+def _checkpoint_with_header(tmp_path, run, edit):
+    """A copy of run's checkpoint.bin whose JSON header went through edit."""
     blob = (run / "checkpoint.bin").read_bytes()
     header_len = int.from_bytes(blob[8:16], "little")
     header = json.loads(blob[16 : 16 + header_len])
-    del header["num_classes"]
+    edit(header)
     new_header = json.dumps(header).encode("utf-8")
     bad = tmp_path / "bad.bin"
     bad.write_bytes(blob[:8] + len(new_header).to_bytes(8, "little") + new_header
                     + blob[16 + header_len :])
+    return bad
+
+
+def test_checkpoint_missing_header_key_is_data_error(tmp_path):
+    cfg, run = _trained_dir(tmp_path)
+    bad = _checkpoint_with_header(tmp_path, run, lambda h: h.pop("num_classes"))
     code = main(["eval", "-c", str(cfg), "--checkpoint", str(bad), "-o", str(tmp_path / "x")])
     assert code == 3
+
+
+def test_checkpoint_malformed_header_is_data_error(tmp_path, capsys):
+    cfg, run = _trained_dir(tmp_path)
+    bad = _checkpoint_with_header(tmp_path, run, lambda h: h.update(layer_dims="abc"))
+    code = main(["eval", "-c", str(cfg), "--checkpoint", str(bad), "-o", str(tmp_path / "x")])
+    assert code == 3
+    assert "malformed checkpoint header" in capsys.readouterr().err
 
 
 def test_eval_external_files(tmp_path):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -10,7 +12,6 @@ from reidlab.model import (
     BnNeck,
     ModelParams,
     embed_dataset,
-    grads_as_dict,
     head_backward,
     head_forward,
     init_bnneck,
@@ -18,12 +19,14 @@ from reidlab.model import (
     init_stream,
     iter_trainables,
     load_checkpoint,
+    param_slots,
     save_checkpoint,
     stream_backward,
     stream_forward,
 )
 from reidlab.numerics import Rng, finite_diff_check
-from reidlab.objectives import LossConfig, Strategy, combined_loss
+from reidlab.objectives import LossConfig, Strategy, combined_loss, fuse, inference_fusion_op
+from reidlab.pipeline import batch_gradients
 from reidlab.synthdata import SynthConfig, generate
 from support import draw_fd_case, flat_objective, naive_matmul
 
@@ -228,7 +231,7 @@ def test_backward_zero_grads_give_zero():
         assert np.all(w == 0.0)
     for b in g.biases:
         assert np.all(b == 0.0)
-    assert np.all(g.gamma == 0.0)
+    assert np.all(g.bn.gamma == 0.0)
     assert np.all(g.classifier == 0.0)
 
 
@@ -344,6 +347,19 @@ def test_iter_trainables_keys_and_grads_alignment():
         # per-layer weight keys, bias keys only for hidden layers
         assert "stream0.w0" in keys and "stream0.w1" in keys
         assert "stream0.b0" in keys and "stream0.b1" not in keys
+        # iter_trainables is param_slots without the BN running statistics
+        slots = param_slots(model)
+        assert [(k, a) for k, a, t in slots if t] == pairs
+        frozen = [k for k, _, t in slots if not t]
+        assert all(k.endswith((".running_mean", ".running_var")) for k in frozen)
+        assert len(frozen) == 2 * (model.num_streams + (model.fused is not None))
+        # gradients come back keyed and shaped like the trainables
+        x = [Rng(9).split(f"x{i}").normal(8, d) for i, d in enumerate([5, 6])]
+        _, grads = batch_gradients(model, x, np.repeat(np.arange(4), 2), LossConfig(),
+                                   update_running=False)
+        assert list(grads) == keys
+        for key, arr in pairs:
+            assert grads[key].shape == arr.shape, key
 
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):
@@ -368,6 +384,82 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
                 assert np.array_equal(sa.classifier, sb.classifier)
         if strat.is_fusion:
             assert np.array_equal(model.fused.classifier, back.fused.classifier)
+
+
+def _forwarded_model(strat):
+    """A tiny model after one train-mode forward, so its running statistics are non-trivial."""
+    model = init_model([5, 6], ["a", "b"], strat, 4, Rng(6), hidden_dims=(7,), embed_dim=3)
+    x = [Rng(7).split(f"x{i}").normal(8, d) for i, d in enumerate([5, 6])]
+    outs = [stream_forward(s, xi, train=True) for s, xi in zip(model.streams, x)]
+    if strat.is_fusion:
+        z_fuse = fuse([o.z for o in outs], inference_fusion_op(strat))
+        head_forward(model.fused, z_fuse, train=True)
+    return model
+
+
+def _header_and_payload(blob):
+    header_len = int.from_bytes(blob[8:16], "little")
+    return json.loads(blob[16 : 16 + header_len]), blob[16 + header_len :]
+
+
+def test_checkpoint_payload_is_param_slots_in_order(tmp_path):
+    for strat in Strategy:
+        model = _forwarded_model(strat)
+        path = tmp_path / f"{strat.value}.ckpt"
+        save_checkpoint(model, path)
+        _, payload = _header_and_payload(path.read_bytes())
+        want = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a, _ in param_slots(model))
+        assert payload == want
+
+
+# sha256 of checkpoint.bin for _forwarded_model, per strategy: pins the
+# file format (header and array order) against refactors.
+CHECKPOINT_SHA256 = {
+    Strategy.FUSION_AVG: "adab36d81b4e25aadf5bc0d4f2c68a4de1c904b0207199e0aed9d414f67b3b4f",
+    Strategy.FUSION_CONCAT: "d9b5d76f03bd2ed133856413c6ff6a3570b05faf1c16ad6bcc7a2fd27d63621e",
+    Strategy.UNICAT: "e159728e8b574a31e2c20c93a0cab7b23daffa0d6d4aa4b79421a3a7cb49a442",
+}
+
+
+@pytest.mark.parametrize("strat", list(Strategy))
+def test_checkpoint_bytes_pinned(tmp_path, strat):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(_forwarded_model(strat), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CHECKPOINT_SHA256[strat]
+
+
+def _with_header(blob, **changes):
+    header, payload = _header_and_payload(blob)
+    new = json.dumps(dict(header, **changes)).encode("utf-8")
+    return blob[:8] + len(new).to_bytes(8, "little") + new + payload
+
+
+@pytest.mark.parametrize("changes", [
+    {"layer_dims": "abc"},
+    {"layer_dims": [["5", "7", "3"], ["6", "7", "3"]]},
+    {"num_classes": "four"},
+    {"strategy": "nope"},
+    {"bn_eps": "x"},
+    {"layer_dims": [[5, -7, 3], [6, -7, 3]]},
+    {"modality_names": 3},
+])
+def test_checkpoint_malformed_header_is_data_error(tmp_path, changes):
+    for strat in Strategy:
+        good = tmp_path / f"{strat.value}.ckpt"
+        save_checkpoint(_forwarded_model(strat), good)
+        bad = tmp_path / f"{strat.value}.bad"
+        bad.write_bytes(_with_header(good.read_bytes(), **changes))
+        with pytest.raises(DataError):
+            load_checkpoint(bad)
+
+
+def test_checkpoint_header_larger_than_payload_rejected_before_allocating(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(_forwarded_model(Strategy.UNICAT), path)
+    huge = 10**12  # a 10**12 x 5 float64 matrix could never be allocated
+    path.write_bytes(_with_header(path.read_bytes(), layer_dims=[[5, huge, 3], [6, huge, 3]]))
+    with pytest.raises(DataError, match="more parameters than the payload holds"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_corruption(tmp_path):

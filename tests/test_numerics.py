@@ -14,7 +14,6 @@ from reidlab.numerics import (
     finite_diff_check,
     matmul,
     pairwise_euclidean,
-    rng_normal,
 )
 from support import naive_matmul, naive_pairwise_euclidean
 
@@ -193,7 +192,6 @@ def test_rng_determinism_and_split_independence():
 
 def test_rng_helpers_shapes():
     r = Rng(0)
-    assert rng_normal(r.split("n"), 2, 3).shape == (2, 3)
     p = r.split("p").permutation(10)
     assert sorted(p) == list(range(10))
     c = r.split("c").choice(np.arange(5), size=7, replace=True)
