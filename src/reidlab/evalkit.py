@@ -3,8 +3,8 @@
 Metrics follow the standard single-shot protocol: cosine distance,
 CMC curve, Rank-1, and mAP with AP = (1/R) * sum over match ranks k of
 (matches at or before k) / k. Ranking ties break toward the lower
-gallery index (stable sort). Queries with no relevant gallery entry are
-skipped and counted, not errors.
+gallery index. Queries with no relevant gallery entry are skipped and
+counted, not errors.
 
 Suites train all three strategies over several seeds on committed
 presets and check the directional claims: per-stream laziness on clean
@@ -103,14 +103,49 @@ def cosine_distance(q, g) -> Matrix:
     gf = _features_of(g)
     if qf.shape[1] != gf.shape[1]:
         raise ShapeError(f"feature dims differ: query {qf.shape[1]} vs gallery {gf.shape[1]}")
+    unit = []
     for name, f in (("query", qf), ("gallery", gf)):
         norms = np.sqrt(np.sum(f * f, axis=1))
         if np.any(norms == 0):
             raise DataError(f"{name} embeddings contain a zero-norm row; cosine undefined")
-    qn = qf / np.sqrt(np.sum(qf * qf, axis=1))[:, None]
-    gn = gf / np.sqrt(np.sum(gf * gf, axis=1))[:, None]
-    d = 1.0 - matmul(qn, gn.T)
+        unit.append(f / norms[:, None])
+    d = matmul(unit[0], unit[1].T)
+    np.subtract(1.0, d, out=d)
     return np.clip(d, 0.0, 2.0, out=d)
+
+
+# cmc_map ranks a block of query rows at a time; its (rows x gallery)
+# temporaries hold at most this many cells per array (2 MiB of float64).
+_RANK_BLOCK_CELLS = 1 << 18
+
+
+def _relevant_positions(row: np.ndarray, others: np.ndarray, same_id: np.ndarray, relevant: np.ndarray) -> np.ndarray:
+    """0-based ranks, ascending, of one query's relevant gallery entries.
+
+    row holds the query's distances; others its non-relevant kept
+    distances sorted ascending, then +inf for every same-id entry;
+    same_id and relevant are masks over the gallery. The rank of a
+    relevant entry counts the kept entries before it in (distance, index)
+    order: the non-relevant ones closer than it, the relevant ones ahead
+    of it, and the non-relevant ones at an equal distance with a lower
+    index. Only the last count needs gallery indices, and only where such
+    a tie exists.
+    """
+    dist = np.sort(row[relevant])
+    closer = np.searchsorted(others, dist, "left")
+    pos = closer + np.arange(dist.size)
+    tied = np.searchsorted(others, dist, "right") > closer
+    if tied.any():
+        # Key the entries at a tied distance by (distance, gallery index):
+        # the relevant keys, sorted, line up with the tied slots of dist.
+        values = np.unique(dist[tied])
+        at_tie = np.isin(row, values)
+        rel, other = (
+            np.sort(np.searchsorted(values, row[k]) * row.size + k)
+            for k in (np.flatnonzero(relevant & at_tie), np.flatnonzero(~same_id & at_tie))
+        )
+        pos[tied] += np.searchsorted(other, rel) - np.searchsorted(other, rel - rel % row.size)
+    return pos
 
 
 def cmc_map(
@@ -128,6 +163,11 @@ def cmc_map(
     going to the lower gallery index. With exclude_same_view, gallery
     entries sharing both the query's id and view are dropped before
     scoring (the usual same-camera junk convention).
+
+    Only the relevant entries are ranked: each one's rank is found by
+    binary search in the query's sorted non-relevant distances, so no row
+    is argsorted. Queries are taken in blocks whose temporaries hold at
+    most _RANK_BLOCK_CELLS cells each.
     """
     d = as_matrix(d, "distance matrix")
     q_ids = np.asarray(q_ids)
@@ -137,36 +177,45 @@ def cmc_map(
         raise ShapeError(
             f"distance matrix {d.shape} does not match {q_ids.shape} query ids / {g_ids.shape} gallery ids"
         )
-    if exclude_same_view and (q_views is None or g_views is None):
-        raise ConfigError("exclude_same_view needs q_views and g_views")
     if max_rank < 1:
         raise ConfigError(f"max_rank must be >= 1, got {max_rank}")
-    order = np.argsort(d, axis=1, kind="stable")
+    if exclude_same_view:
+        if q_views is None or g_views is None:
+            raise ConfigError("exclude_same_view needs q_views and g_views")
+        q_views = np.asarray(q_views)
+        g_views = np.asarray(g_views)
+        if q_views.shape != (nq,) or g_views.shape != (ng,):
+            raise ShapeError(
+                f"distance matrix {d.shape} does not match {q_views.shape} query views / {g_views.shape} gallery views"
+            )
     per_query_ap = np.full(nq, np.nan)
     first_match_rank = np.zeros(nq, dtype=np.int64)  # 0 = skipped
     num_skipped = 0
-    for i in range(nq):
-        ranked = order[i]
+    step = max(1, _RANK_BLOCK_CELLS // max(ng, 1))
+    for start in range(0, nq, step):
+        rows = slice(start, start + step)
+        same_id = g_ids[None, :] == q_ids[rows, None]
+        relevant = same_id
         if exclude_same_view:
-            junk = (g_ids[ranked] == q_ids[i]) & (g_views[ranked] == q_views[i])
-            ranked = ranked[~junk]
-        matches = g_ids[ranked] == q_ids[i]
-        r = int(matches.sum())
-        if r == 0:
-            num_skipped += 1
-            continue
-        cum = np.cumsum(matches)
-        hit = np.nonzero(matches)[0]
-        per_query_ap[i] = float(np.sum(cum[hit] / (hit + 1.0)) / r)
-        first_match_rank[i] = hit[0] + 1
+            relevant = same_id & (g_views[None, :] != q_views[rows, None])
+        # Each row's non-relevant kept distances, sorted; relevant and junk
+        # entries are pushed past every finite distance.
+        others = np.where(same_id, np.inf, d[rows])
+        others.sort(axis=1)
+        for b in range(others.shape[0]):
+            i = start + b
+            hit = _relevant_positions(d[i], others[b], same_id[b], relevant[b])
+            r = hit.size
+            if r == 0:
+                num_skipped += 1
+                continue
+            per_query_ap[i] = float(np.sum(np.arange(1, r + 1) / (hit + 1.0)) / r)
+            first_match_rank[i] = hit[0] + 1
     scored = nq - num_skipped
     if scored == 0:
         raise DataError("every query was skipped (no relevant gallery entries)")
-    hist = np.zeros(max_rank + 1, dtype=np.float64)
-    for rank in first_match_rank:
-        if 1 <= rank <= max_rank:
-            hist[rank] += 1.0
-    cmc = np.cumsum(hist) / scored
+    ranks = first_match_rank[(first_match_rank >= 1) & (first_match_rank <= max_rank)]
+    cmc = np.cumsum(np.bincount(ranks, minlength=max_rank + 1)) / scored
     cmc[0] = 0.0
     mean_ap = float(np.sum(per_query_ap[np.isfinite(per_query_ap)]) / scored)
     return RetrievalReport(

@@ -136,6 +136,49 @@ def oracle_cmc_map(dist, q_ids, g_ids, q_views, g_views, exclude_same_view=False
     return mean_ap, cmc, per_query_ap, skipped
 
 
+def argsort_cmc_map(d, q_ids, g_ids, q_views=None, g_views=None, exclude_same_view=False, max_rank=50):
+    """Bitwise reference for evalkit.cmc_map: the full stable argsort of
+    every row followed by a per-query scan, as cmc_map computed it before
+    it ranked only the relevant entries.
+
+    Unlike oracle_cmc_map it sums each query's AP terms with np.sum, so
+    its results match cmc_map bit for bit. Returns (map, cmc over ranks
+    0..max_rank, per_query_ap, num_skipped); inputs are not validated.
+    """
+    d = np.asarray(d, dtype=np.float64)
+    q_ids = np.asarray(q_ids)
+    g_ids = np.asarray(g_ids)
+    nq = d.shape[0]
+    order = np.argsort(d, axis=1, kind="stable")
+    per_query_ap = np.full(nq, np.nan)
+    first_match_rank = np.zeros(nq, dtype=np.int64)  # 0 = skipped
+    num_skipped = 0
+    for i in range(nq):
+        ranked = order[i]
+        if exclude_same_view:
+            junk = (g_ids[ranked] == q_ids[i]) & (g_views[ranked] == q_views[i])
+            ranked = ranked[~junk]
+        matches = g_ids[ranked] == q_ids[i]
+        r = int(matches.sum())
+        if r == 0:
+            num_skipped += 1
+            continue
+        cum = np.cumsum(matches)
+        hit = np.nonzero(matches)[0]
+        per_query_ap[i] = float(np.sum(cum[hit] / (hit + 1.0)) / r)
+        first_match_rank[i] = hit[0] + 1
+    scored = nq - num_skipped
+    assert scored > 0
+    hist = np.zeros(max_rank + 1, dtype=np.float64)
+    for rank in first_match_rank:
+        if 1 <= rank <= max_rank:
+            hist[rank] += 1.0
+    cmc = np.cumsum(hist) / scored
+    cmc[0] = 0.0
+    mean_ap = float(np.sum(per_query_ap[np.isfinite(per_query_ap)]) / scored)
+    return mean_ap, cmc, per_query_ap, num_skipped
+
+
 # --------------------------------------------- conditioned FD test cases
 
 # Central differences at h=1e-6 on an O(1) loss carry ~1e-10 of float64

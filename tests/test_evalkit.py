@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,7 +31,7 @@ from reidlab.objectives import Strategy
 from reidlab.pipeline import TrainConfig, train
 from reidlab.synthdata import SynthConfig, generate
 
-from support import oracle_cmc_map
+from support import argsort_cmc_map, oracle_cmc_map
 
 
 def _tiny_ds(seed=0, m=2, sigma=0.2, ids_train=6, ids_test=4, views=4):
@@ -167,6 +170,124 @@ def test_cmc_map_gallery_permutation_invariance():
     assert shuffled.map == pytest.approx(base.map, abs=1e-15)
     np.testing.assert_array_equal(shuffled.cmc, base.cmc)
     np.testing.assert_array_equal(shuffled.per_query_ap, base.per_query_ap)
+
+
+def test_cmc_map_rejects_misaligned_views():
+    d = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
+    q_ids, g_ids = np.array([1, 2]), np.array([1, 2, 1])
+    q_views, g_views = np.array([0, 1]), np.array([1, 0, 1])
+    with pytest.raises(ShapeError):  # a longer g_views was silently cut
+        cmc_map(d, q_ids, g_ids, q_views, np.array([1, 0, 1, 0]), exclude_same_view=True)
+    with pytest.raises(ShapeError):  # a shorter q_views ended in IndexError
+        cmc_map(d, q_ids, g_ids, np.array([0]), g_views, exclude_same_view=True)
+    # without exclude_same_view the views are never read
+    cmc_map(d, q_ids, g_ids, np.array([0]), g_views)
+
+
+def _assert_matches_argsort_reference(d, q_ids, g_ids, q_views, g_views, excl, max_rank):
+    """cmc_map must equal the full-argsort scan bit for bit, or raise
+    DataError where every query is skipped."""
+    try:
+        ref_map, ref_cmc, ref_ap, ref_skipped = argsort_cmc_map(
+            d, q_ids, g_ids, q_views, g_views, excl, max_rank)
+    except AssertionError:
+        with pytest.raises(DataError):
+            cmc_map(d, q_ids, g_ids, q_views, g_views, excl, max_rank)
+        return None
+    rep = cmc_map(d, q_ids, g_ids, q_views, g_views, excl, max_rank)
+    assert np.float64(rep.map).tobytes() == np.float64(ref_map).tobytes()
+    assert rep.cmc.tobytes() == ref_cmc.tobytes()
+    assert rep.per_query_ap.tobytes() == ref_ap.tobytes()
+    assert rep.num_skipped_queries == ref_skipped
+    assert rep.rank1 == rep.cmc[1]
+    return rep
+
+
+def test_cmc_map_bitwise_equal_to_argsort_reference():
+    rng = np.random.default_rng(2024)
+    seen = dict.fromkeys(
+        ["ties", "signed_zeros", "negative", "excl", "skipped", "all_relevant",
+         "first_match_past_max_rank", "single_query", "single_gallery"], 0)
+    for trial in range(400):
+        nq = 1 if trial % 11 == 0 else int(rng.integers(1, 25))
+        ng = 1 if trial % 13 == 0 else int(rng.integers(1, 60))
+        d = rng.normal(size=(nq, ng))
+        if trial % 3:  # rounded distances: ties within and across ids
+            d = np.round(d, int(rng.integers(0, 2)))
+        zeros = d == 0
+        if trial % 4 == 1 and zeros.any():
+            d[zeros] = np.where(rng.uniform(size=zeros.sum()) < 0.5, -0.0, 0.0)
+        num_ids = 1 if trial % 7 == 0 else int(rng.integers(1, 6))  # 1: r = ng
+        q_ids = rng.integers(0, num_ids, size=nq)
+        g_ids = rng.integers(0, num_ids, size=ng)
+        q_views = rng.integers(0, 3, size=nq)
+        g_views = rng.integers(0, 3, size=ng)
+        excl = bool(trial % 2)
+        max_rank = int(rng.integers(1, ng + 5))
+        rep = _assert_matches_argsort_reference(d, q_ids, g_ids, q_views, g_views, excl, max_rank)
+        if rep is None:
+            continue
+        seen["ties"] += int(np.unique(d).size < d.size)
+        seen["signed_zeros"] += int(np.any(np.signbit(d[zeros])) and not np.all(np.signbit(d[zeros])))
+        seen["negative"] += int(np.any(d < 0))
+        seen["excl"] += int(excl)
+        seen["skipped"] += int(rep.num_skipped_queries > 0)
+        seen["all_relevant"] += int(not excl and np.all(g_ids == q_ids[0]) and np.all(q_ids == q_ids[0]))
+        seen["first_match_past_max_rank"] += int(rep.cmc[-1] < 1.0)
+        seen["single_query"] += int(nq == 1)
+        seen["single_gallery"] += int(ng == 1)
+    assert all(count >= 3 for count in seen.values()), seen
+
+
+def test_cmc_map_row_blocks_match_reference(monkeypatch):
+    rng = np.random.default_rng(5)
+    nq, ng = 23, 40
+    d = np.round(rng.uniform(size=(nq, ng)), 1)
+    q_ids, g_ids = rng.integers(0, 4, size=nq), rng.integers(0, 4, size=ng)
+    q_views, g_views = rng.integers(0, 3, size=nq), rng.integers(0, 3, size=ng)
+    # 3 rows per block: seven full blocks and a partial last one
+    monkeypatch.setattr(evalkit, "_RANK_BLOCK_CELLS", 3 * ng + 1)
+    for excl in (False, True):
+        _assert_matches_argsort_reference(d, q_ids, g_ids, q_views, g_views, excl, 10)
+
+
+def _gallery_1000x4000(seed):
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(size=(1000, 4000))
+    q_ids, g_ids = np.repeat(np.arange(500), 2), np.repeat(np.arange(500), 8)
+    return d, q_ids, g_ids
+
+
+def test_cmc_map_memory_bounded_below_distance_matrix():
+    d, q_ids, g_ids = _gallery_1000x4000(11)
+    assert d.shape[0] > evalkit._RANK_BLOCK_CELLS // d.shape[1]  # several blocks
+    tracemalloc.start()
+    try:
+        rep = cmc_map(d, q_ids, g_ids)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < d.nbytes, (peak, d.nbytes)
+    ref_map, ref_cmc, ref_ap, _ = argsort_cmc_map(d, q_ids, g_ids)
+    assert rep.map == ref_map
+    assert rep.cmc.tobytes() == ref_cmc.tobytes()
+    assert rep.per_query_ap.tobytes() == ref_ap.tobytes()
+
+
+def test_cmc_map_single_identity_not_slower_than_full_argsort():
+    # r = ng: every gallery entry is relevant to every query
+    d, _, _ = _gallery_1000x4000(12)
+    ids_q, ids_g = np.zeros(1000, dtype=np.int64), np.zeros(4000, dtype=np.int64)
+
+    def best_of(fn, repeats=2):
+        times = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            fn(d, ids_q, ids_g)
+            times.append(time.perf_counter() - t0)
+        return min(times)
+
+    assert best_of(cmc_map) <= 2.0 * best_of(argsort_cmc_map)
 
 
 # ------------------------------------------------------- model-based evals
