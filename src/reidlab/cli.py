@@ -4,25 +4,24 @@ Subcommands: gen (synthesize a dataset directory), train (train or grid
 search from a config), eval (reports for a checkpoint or for external
 embedding files), repro (the packaged multi-seed experiment suites).
 
-Configs are YAML with three sections (data, train, eval); unknown keys
-are rejected. Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric
-error. All outputs are deterministic functions of config + seed; rerun
-any command and the output bytes repeat.
+Configs are YAML with three sections (data, train, eval), checked by
+config.SCHEMA. Exit codes: 0 ok, 2 config error, 3 data error (or a file
+that cannot be read or written), 4 numeric error. All outputs are
+deterministic in config + seed: rerun a command and its bytes repeat.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 import yaml
 
 from . import evalkit, fileio
-from .errors import ConfigError, DataError, NumericError, require_int, require_real
+from .config import EvalOptions, config_dict, read_section, synth_config, train_config, validate_config
+from .errors import ConfigError, DataError, NumericError
 from .evalkit import (
     EmbeddingSet,
     SUITE_NAMES,
@@ -30,43 +29,17 @@ from .evalkit import (
     report_csv,
     report_markdown,
     run_suite,
+    suite_epochs,
+    suite_train_config,
     table_csv,
     table_markdown,
     trainset_view,
 )
-from .model import FUSED_SELECTOR, embed_dataset, load_checkpoint
+from .model import FUSED_SELECTOR, load_checkpoint
 from .numerics import Rng
-from .objectives import FusionOperator, LossConfig, fuse, strategy_from_name
-from .pipeline import TrainConfig, config_hash, grid_search, train
-from .synthdata import (
-    SPLIT_GALLERY,
-    MultimodalDataset,
-    SynthConfig,
-    generate,
-    preset,
-    split_query_gallery,
-)
-
-_DATA_KEYS = {
-    "preset", "dir", "num_modalities", "latent_dim", "obs_dim", "ids_train",
-    "ids_test", "views_per_id", "signal_scale", "view_jitter", "noise_sigma",
-    "spurious_dim", "spurious_strength", "seed",
-}
-_TRAIN_KEYS = {
-    "strategy", "p", "k", "lr_base", "momentum", "epochs", "warmup_epochs",
-    "lambda_ce", "margin", "hidden_dims", "embed_dim", "seed", "grid",
-}
-_GRID_KEYS = {"batch_sizes", "lr_values"}
-_EVAL_KEYS = {"exclude_same_view", "max_rank", "views_as_query", "seed", "normalize_first"}
-_TOP_KEYS = {"data", "train", "eval"}
-
-
-def _check_keys(section: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(section) - allowed)
-    if unknown:
-        raise ConfigError(
-            f"unknown key(s) {unknown} in {where}; allowed: {sorted(allowed)}"
-        )
+from .objectives import FusionOperator, Strategy, fuse
+from .pipeline import config_hash, grid_search, train
+from .synthdata import SPLIT_GALLERY, MultimodalDataset, generate, split_query_gallery
 
 
 def load_config(path) -> dict:
@@ -80,24 +53,8 @@ def load_config(path) -> dict:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from None
     if cfg is None:
         cfg = {}
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: top level must be a mapping")
     validate_config(cfg)
     return cfg
-
-
-def validate_config(cfg: dict) -> None:
-    _check_keys(cfg, _TOP_KEYS, "config")
-    for name, keys in (("data", _DATA_KEYS), ("train", _TRAIN_KEYS), ("eval", _EVAL_KEYS)):
-        if name in cfg:
-            if not isinstance(cfg[name], dict):
-                raise ConfigError(f"config section {name!r} must be a mapping")
-            _check_keys(cfg[name], keys, f"section {name!r}")
-    grid = cfg.get("train", {}).get("grid")
-    if grid is not None:
-        if not isinstance(grid, dict):
-            raise ConfigError("train.grid must be a mapping")
-        _check_keys(grid, _GRID_KEYS, "train.grid")
 
 
 def apply_overrides(cfg: dict, sets: list) -> dict:
@@ -121,99 +78,23 @@ def apply_overrides(cfg: dict, sets: list) -> dict:
     return cfg
 
 
-def synth_config_from(data: dict) -> SynthConfig:
-    fields = {k: v for k, v in data.items() if k not in ("preset", "dir")}
-    if "preset" in data:
-        seed = fields.pop("seed", 0)
-        require_int("data.seed", seed)
-        base = preset(str(data["preset"]), seed)
-        base_dict = fileio.synth_config_dict(base)
-        base_dict.update(fields)
-        fields = base_dict
-    try:
-        cfg = SynthConfig(**fields)
-    except TypeError as exc:
-        raise ConfigError(f"bad data section: {exc}") from None
-    cfg.validate()
-    return cfg
-
-
-def train_config_from(tr: dict) -> tuple[TrainConfig, Optional[dict]]:
-    tr = dict(tr)
-    grid = tr.pop("grid", None)
-    lambda_ce = tr.pop("lambda_ce", 1.0)
-    margin = tr.pop("margin", 0.0)
-    require_real("train.lambda_ce", lambda_ce)
-    require_real("train.margin", margin)
-    loss = LossConfig(lambda_ce=float(lambda_ce), margin=float(margin))
-    if "strategy" in tr:
-        tr["strategy"] = strategy_from_name(str(tr["strategy"]))
-    if "hidden_dims" in tr:
-        dims = tr["hidden_dims"]
-        if not isinstance(dims, (list, tuple)):
-            raise ConfigError(f"train.hidden_dims must be a list, got {dims!r}")
-        tr["hidden_dims"] = tuple(dims)
-    try:
-        cfg = TrainConfig(loss=loss, **tr)
-    except TypeError as exc:
-        raise ConfigError(f"bad train section: {exc}") from None
-    cfg.validate()
-    if grid is not None:
-        for name, check in (("batch_sizes", require_int), ("lr_values", require_real)):
-            values = grid.get(name)
-            if not isinstance(values, list) or not values:
-                raise ConfigError(f"train.grid.{name} must be a non-empty list, got {values!r}")
-            for v in values:
-                check(f"train.grid.{name} entry", v)
-    return cfg, grid
-
-
-@dataclass
-class EvalOptions:
-    exclude_same_view: bool = False
-    max_rank: int = 50
-    views_as_query: int = 2
-    seed: int = 0
-    normalize_first: Optional[bool] = None
-
-
-def eval_options_from(ev: dict) -> EvalOptions:
-    opts = EvalOptions(**ev)
-    for name in ("max_rank", "views_as_query", "seed"):
-        require_int(f"eval.{name}", getattr(opts, name))
-    if not isinstance(opts.exclude_same_view, bool):
-        raise ConfigError(f"eval.exclude_same_view must be true or false, got {opts.exclude_same_view!r}")
-    if opts.normalize_first is not None and not isinstance(opts.normalize_first, bool):
-        raise ConfigError(f"eval.normalize_first must be true, false or null, got {opts.normalize_first!r}")
-    if opts.max_rank < 1:
-        raise ConfigError(f"eval.max_rank must be >= 1, got {opts.max_rank}")
-    if opts.views_as_query < 1:
-        raise ConfigError(f"eval.views_as_query must be >= 1, got {opts.views_as_query}")
-    return opts
-
-
-def _load_or_generate(cfg: dict) -> tuple[MultimodalDataset, Optional[SynthConfig], str]:
-    data = cfg.get("data")
-    if not data:
-        raise ConfigError("config needs a data section (preset/fields or dir)")
-    if "dir" in data:
-        extra = sorted(set(data) - {"dir"})
-        if extra:
-            raise ConfigError(f"data.dir cannot be combined with {extra}")
-        ds, manifest = fileio.read_dataset(data["dir"])
-        return ds, None, f"dataset dir {data['dir']}"
-    scfg = synth_config_from(data)
-    return generate(scfg), scfg, f"generated (seed {scfg.seed})"
+def _load_or_generate(cfg: dict) -> tuple[MultimodalDataset, str]:
+    data = read_section(cfg, "data")
+    if "dir" not in data:
+        scfg = synth_config(data)
+        return generate(scfg), f"generated (seed {scfg.seed})"
+    if len(data) > 1:
+        raise ConfigError(f"data.dir cannot be combined with {sorted(set(data) - {'dir'})}")
+    ds, _ = fileio.read_dataset(data["dir"])
+    return ds, f"dataset dir {data['dir']}"
 
 
 def cmd_gen(args) -> int:
     cfg = apply_overrides(load_config(args.config), args.set)
-    data = cfg.get("data")
-    if not data:
-        raise ConfigError("gen needs a data section")
+    data = read_section(cfg, "data")
     if "dir" in data:
         raise ConfigError("gen generates a dataset; remove data.dir from the config")
-    scfg = synth_config_from(data)
+    scfg = synth_config(data)
     ds = generate(scfg)
     fileio.write_dataset(ds, args.out, scfg)
     print(f"wrote {ds.num_modalities} modality file(s) + manifest to {args.out}")
@@ -222,15 +103,15 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = apply_overrides(load_config(args.config), args.set)
-    ds, _, source = _load_or_generate(cfg)
-    tcfg, grid = train_config_from(cfg.get("train", {}))
+    ds, source = _load_or_generate(cfg)
+    tcfg, grid = train_config(cfg)
     out = Path(args.out)
     if grid is None:
         rec = train(ds, tcfg)
         fileio.write_run_record(rec, out, extra={"data_source": source})
         print(f"trained {tcfg.strategy.value}: final loss {rec.epoch_losses[-1]:.4f} -> {out}")
         return 0
-    result = grid_search(ds, grid["batch_sizes"], grid["lr_values"], tcfg)
+    result = grid_search(ds, grid.batch_sizes, grid.lr_values, tcfg)
     for cell, rec in zip(result.cells, result.cell_records):
         fileio.write_run_record(
             rec,
@@ -239,13 +120,7 @@ def cmd_train(args) -> int:
         )
     fileio.write_run_record(result.best, out, extra={"data_source": source})
     selection = {
-        "cells": [
-            {
-                "batch_size": c.batch_size, "lr": c.lr, "p": c.p, "k": c.k,
-                "val_map": c.val_map, "val_rank1": c.val_rank1,
-            }
-            for c in result.cells
-        ],
+        "cells": [vars(c) for c in result.cells],
         "selected": {"batch_size": result.best_cell.batch_size, "lr": result.best_cell.lr},
     }
     fileio.dump_json(selection, out / "selection.json")
@@ -265,13 +140,13 @@ def cmd_eval(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cfg = apply_overrides(load_config(args.config) if args.config else {}, args.set)
-    opts = eval_options_from(cfg.get("eval", {}))
+    opts = EvalOptions(**read_section(cfg, "eval"))
     if args.external:
         return _eval_external(args, cfg, opts, out)
     if not args.checkpoint:
         raise ConfigError("eval needs --checkpoint (or --external files)")
     model = load_checkpoint(args.checkpoint)
-    ds, _, source = _load_or_generate(cfg)
+    ds, source = _load_or_generate(cfg)
     if ds.num_modalities != model.num_streams:
         raise DataError(
             f"checkpoint has {model.num_streams} streams but dataset has "
@@ -294,7 +169,7 @@ def cmd_eval(args) -> int:
         f"- source: {source}",
         f"- checkpoint: {args.checkpoint}",
         f"- strategy: {model.strategy.value}",
-        f"- eval options hash: {config_hash(vars(opts) | {'trainset': bool(args.trainset)})}",
+        f"- eval options hash: {config_hash(config_dict(opts) | {'trainset': bool(args.trainset)})}",
         "",
     ]
     for selector, name in selectors:
@@ -363,18 +238,14 @@ def cmd_repro(args) -> int:
     result = run_suite(args.suite, seeds, epochs=args.epochs, jobs=args.jobs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    from .evalkit import suite_epochs, suite_train_config
-    from .pipeline import config_dict
-
     epochs = suite_epochs(args.suite, args.epochs)
     run_desc = {
         "suite": args.suite,
         "seeds": seeds,
         "epochs": epochs,
-        "train_recipe": None,
+        "train_recipe": config_dict(suite_train_config(Strategy.UNICAT, seeds[0], epochs)),
     }
-    run_desc["train_recipe"] = config_dict(suite_train_config(strategy_from_name("unicat"), seeds[0], epochs))
-    run_desc["config_hash"] = config_hash({k: v for k, v in run_desc.items() if k != "config_hash"})
+    run_desc["config_hash"] = config_hash(run_desc)
     fileio.dump_json(run_desc, out / "config.json")
     md = table_markdown(result.table) + f"\nconfig_hash: {run_desc['config_hash']}\n"
     (out / "table.md").write_text(md, encoding="utf-8")
@@ -449,6 +320,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

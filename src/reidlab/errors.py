@@ -1,13 +1,10 @@
 """Exception taxonomy shared across the package.
 
 The CLI maps these onto process exit codes: ConfigError -> 2,
-DataError (and subclasses) -> 3, NumericError -> 4. Everything else
-is a plain bug and escapes as a traceback. require_int and require_real
-are the type checks config readers run before comparing or coercing a
-value.
+DataError (and subclasses) and an OSError from writing a file -> 3,
+NumericError -> 4. Everything else is a plain bug and escapes as a
+traceback.
 """
-
-import numbers
 
 
 class ReidLabError(Exception):
@@ -32,15 +29,3 @@ class NumericError(ReidLabError, ArithmeticError):
 
 class StateError(ReidLabError, RuntimeError):
     """API misuse: an operation was called in a state that cannot support it."""
-
-
-def require_int(name: str, value) -> None:
-    """ConfigError unless value is an integer (a bool is not one)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-
-
-def require_real(name: str, value) -> None:
-    """ConfigError unless value is a real number (a bool is not one)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{name} must be a number, got {value!r}")

@@ -27,8 +27,9 @@ from typing import Optional
 
 import numpy as np
 
+from .config import config_dict
 from .errors import DataError, ShapeError
-from .pipeline import RunRecord, config_dict, config_hash
+from .pipeline import RunRecord, config_hash
 from .synthdata import (
     SPLIT_GALLERY,
     SPLIT_QUERY,
@@ -85,8 +86,10 @@ def write_embedding_file(path, name: str, features, ids, view_ids) -> None:
 
 
 def read_embedding_file(path) -> EmbeddingRecord:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read embedding file: {exc}") from None
     if len(blob) < 24 or blob[:4] != EMBEDDING_MAGIC:
         raise DataError(f"{path}: not an embedding file (bad magic)")
     (version,) = struct.unpack_from("<I", blob, 4)
@@ -113,6 +116,8 @@ def read_embedding_file(path) -> EmbeddingRecord:
         blob, dtype=np.dtype([("id", "<u8"), ("view", "<u4"), ("feat", "<f4", (d,))]),
         count=n, offset=offset,
     )
+    if n and payload["id"].max() > np.iinfo(np.int64).max:
+        raise DataError(f"{path}: ids must be below 2**63")
     ids = payload["id"].astype(np.int64)
     view_ids = payload["view"].astype(np.int64)
     features = payload["feat"].astype(np.float64).reshape(n, d)
@@ -125,23 +130,6 @@ def dump_json(obj, path: Path) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def synth_config_dict(cfg: SynthConfig) -> dict:
-    return {
-        "num_modalities": cfg.num_modalities,
-        "latent_dim": cfg.latent_dim,
-        "obs_dim": list(cfg.obs_dim),
-        "ids_train": cfg.ids_train,
-        "ids_test": cfg.ids_test,
-        "views_per_id": cfg.views_per_id,
-        "signal_scale": list(cfg.signal_scale),
-        "view_jitter": cfg.view_jitter,
-        "noise_sigma": list(cfg.noise_sigma),
-        "spurious_dim": list(cfg.spurious_dim),
-        "spurious_strength": list(cfg.spurious_strength),
-        "seed": cfg.seed,
-    }
-
-
 def write_dataset(ds: MultimodalDataset, outdir, cfg: Optional[SynthConfig] = None) -> None:
     """Dataset directory: one embedding file per modality + manifest.json."""
     ds.validate()
@@ -152,7 +140,7 @@ def write_dataset(ds: MultimodalDataset, outdir, cfg: Optional[SynthConfig] = No
         fname = f"modality_{i}.uceb"
         write_embedding_file(outdir / fname, name, ds.features[i], ds.ids, ds.view_ids)
         modalities.append({"name": name, "file": fname, "dim": int(ds.features[i].shape[1])})
-    cfg_dict = None if cfg is None else synth_config_dict(cfg)
+    cfg_dict = None if cfg is None else config_dict(cfg)
     manifest = {
         "format": "reidlab-dataset",
         "version": 1,
@@ -168,12 +156,10 @@ def write_dataset(ds: MultimodalDataset, outdir, cfg: Optional[SynthConfig] = No
 def read_dataset(path) -> tuple[MultimodalDataset, dict]:
     path = Path(path)
     manifest_path = path / "manifest.json"
-    if not manifest_path.exists():
-        raise DataError(f"{path}: no manifest.json; not a dataset directory")
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{manifest_path}: corrupt manifest: {exc}") from None
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"{manifest_path}: cannot read manifest: {exc}") from None
     if not isinstance(manifest, dict):
         raise DataError(f"{manifest_path}: manifest is not a JSON object")
     if manifest.get("format") != "reidlab-dataset" or manifest.get("version") != 1:
@@ -181,8 +167,8 @@ def read_dataset(path) -> tuple[MultimodalDataset, dict]:
     if not isinstance(manifest.get("modalities"), list) or not isinstance(manifest.get("split"), str):
         raise DataError(f"{manifest_path}: manifest needs a 'modalities' list and a 'split' string")
     for entry in manifest["modalities"]:
-        if not isinstance(entry, dict) or not {"file", "name"} <= entry.keys():
-            raise DataError(f"{manifest_path}: each modality entry needs 'file' and 'name'")
+        if not (isinstance(entry, dict) and all(isinstance(entry.get(k), str) for k in ("file", "name"))):
+            raise DataError(f"{manifest_path}: each modality entry needs string 'file' and 'name'")
     features = []
     names = []
     ids = None

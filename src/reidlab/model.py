@@ -499,8 +499,11 @@ class _PayloadDraws:
 
 
 def load_checkpoint(path) -> ModelParams:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read checkpoint: {exc}") from None
     if len(blob) < 16 or blob[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: not a checkpoint file (bad magic)")
     (version,) = struct.unpack_from("<I", blob, 4)

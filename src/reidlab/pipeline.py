@@ -14,12 +14,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError, ShapeError, require_int, require_real
+from .config import TrainConfig, config_dict
+from .errors import ConfigError, DataError, NumericError, ShapeError
 from .model import (
     ModelParams,
     head_backward,
@@ -32,7 +33,6 @@ from .model import (
 from .numerics import Rng
 from .objectives import (
     LossConfig,
-    Strategy,
     fuse,
     inference_fusion_op,
     split_fusion_grad,
@@ -41,64 +41,6 @@ from .objectives import (
 from .synthdata import SPLIT_GALLERY, SPLIT_TRAIN, MultimodalDataset, split_query_gallery
 
 LR_MIN_RATIO = 0.002
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    strategy: Strategy = Strategy.UNICAT
-    p: int = 8
-    k: int = 4
-    lr_base: float = 0.05
-    momentum: float = 0.9
-    epochs: int = 200
-    warmup_epochs: int = 10
-    loss: LossConfig = field(default_factory=LossConfig)
-    hidden_dims: tuple = (64,)
-    embed_dim: int = 32
-    seed: int = 0
-
-    def validate(self) -> None:
-        for name in ("p", "k", "epochs", "warmup_epochs", "embed_dim", "seed"):
-            require_int(name, getattr(self, name))
-        for name in ("lr_base", "momentum"):
-            require_real(name, getattr(self, name))
-        for d in self.hidden_dims:
-            require_int("hidden_dims entry", d)
-        if self.p < 2 or self.k < 2:
-            raise ConfigError(f"P >= 2 and K >= 2 required for triplets, got P={self.p}, K={self.k}")
-        if self.lr_base <= 0 or not np.isfinite(self.lr_base):
-            raise ConfigError(f"lr_base must be finite and > 0, got {self.lr_base}")
-        if not (0 <= self.momentum < 1):
-            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if not (0 <= self.warmup_epochs < self.epochs):
-            raise ConfigError(
-                f"warmup_epochs must satisfy 0 <= warmup < epochs, got {self.warmup_epochs} vs {self.epochs}"
-            )
-        if self.embed_dim < 1 or any(d < 1 for d in self.hidden_dims):
-            raise ConfigError("layer widths must be >= 1")
-
-    @property
-    def batch_size(self) -> int:
-        return self.p * self.k
-
-
-def config_dict(cfg: TrainConfig) -> dict:
-    return {
-        "strategy": cfg.strategy.value,
-        "p": cfg.p,
-        "k": cfg.k,
-        "lr_base": cfg.lr_base,
-        "momentum": cfg.momentum,
-        "epochs": cfg.epochs,
-        "warmup_epochs": cfg.warmup_epochs,
-        "lambda_ce": cfg.loss.lambda_ce,
-        "margin": cfg.loss.margin,
-        "hidden_dims": list(cfg.hidden_dims),
-        "embed_dim": cfg.embed_dim,
-        "seed": cfg.seed,
-    }
 
 
 def config_hash(obj) -> str:
@@ -355,12 +297,12 @@ def grid_search(
                 f"batch size {bs} is not a multiple of K={base_cfg.k} with P >= 2"
             )
         for lr in lr_values:
-            cfg = replace(base_cfg, p=bs // base_cfg.k, lr_base=float(lr))
+            cfg = replace(base_cfg, p=bs // base_cfg.k, lr_base=lr)
             rec = train(ds_val, cfg)
             report = evalkit.eval_multimodal(rec.model, ds_val)
             cell = GridCell(
-                batch_size=int(bs),
-                lr=float(lr),
+                batch_size=bs,
+                lr=lr,
                 p=cfg.p,
                 k=cfg.k,
                 val_map=report.map,

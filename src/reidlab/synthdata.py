@@ -20,25 +20,12 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError, ShapeError, require_int, require_real
+from .errors import ConfigError, DataError, NumericError, ShapeError
 from .numerics import Rng, matmul
 
 SPLIT_TRAIN = 0
 SPLIT_QUERY = 1
 SPLIT_GALLERY = 2
-
-
-def _per_modality(name: str, value, m: int, check, cast) -> tuple:
-    """value as m per-modality entries, each type-checked by check, then cast."""
-    if isinstance(value, (list, tuple, np.ndarray)):
-        vals = tuple(value)
-        if len(vals) != m:
-            raise ConfigError(f"expected {m} per-modality values, got {len(vals)}")
-    else:
-        vals = (value,) * m
-    for v in vals:
-        check(f"data.{name} entry", v)
-    return tuple(cast(v) for v in vals)
 
 
 @dataclass
@@ -57,18 +44,13 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("num_modalities", "latent_dim", "ids_train", "ids_test", "views_per_id", "seed"):
-            require_int(f"data.{name}", getattr(self, name))
-        require_real("data.view_jitter", self.view_jitter)
-        m = int(self.num_modalities)
-        self.num_modalities = m
-        self.obs_dim = _per_modality("obs_dim", self.obs_dim, m, require_int, int)
-        self.signal_scale = _per_modality("signal_scale", self.signal_scale, m, require_real, float)
-        self.noise_sigma = _per_modality("noise_sigma", self.noise_sigma, m, require_real, float)
-        self.spurious_dim = _per_modality("spurious_dim", self.spurious_dim, m, require_int, int)
-        self.spurious_strength = _per_modality(
-            "spurious_strength", self.spurious_strength, m, require_real, float
-        )
+        m = self.num_modalities
+        for name in ("obs_dim", "signal_scale", "noise_sigma", "spurious_dim", "spurious_strength"):
+            value = getattr(self, name)
+            per = tuple(value) if isinstance(value, (list, tuple, np.ndarray)) else (value,) * m
+            if len(per) != m:
+                raise ConfigError(f"data.{name}: expected {m} per-modality values, got {len(per)}")
+            setattr(self, name, per)
 
     def validate(self) -> None:
         if self.num_modalities < 1:

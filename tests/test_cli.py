@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 from pathlib import Path
@@ -112,6 +113,103 @@ def test_gen_data_value_of_wrong_type_is_config_error(tmp_path, capsys, override
     assert "config error" in capsys.readouterr().err
 
 
+def _flow_yaml(tmp_path, name, **sections):
+    """A config file whose values are written as given, e.g. an unquoted 5e-2."""
+    lines = [f"{sec}: {{" + ", ".join(f"{k}: {v}" for k, v in body.items()) + "}"
+             for sec, body in sections.items()]
+    path = tmp_path / name
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def _outputs(tmp_path, name, command, cfg, sets=()):
+    out = tmp_path / name
+    argv = [command, "-c", str(cfg), "-o", str(out)]
+    for item in sets:
+        argv += ["--set", item]
+    assert main(argv) == 0, argv
+    return _dir_bytes(out) if command == "gen" else (out / "config.json").read_bytes()
+
+
+def test_exponent_spellings_give_the_decimal_bytes(tmp_path):
+    exp_data = dict(TINY_DATA, noise_sigma="[3e-1, 1E-1]", view_jitter="1e-1")
+    dec_data = dict(TINY_DATA, noise_sigma="[0.3, 0.1]", view_jitter=0.1)
+    exp_train = dict(TINY_TRAIN, lr_base="5e-2", momentum="9.0e-1", lambda_ce="1e0", margin="-1E-1")
+    dec_train = dict(TINY_TRAIN, lr_base=0.05, momentum=0.9, lambda_ce=1.0, margin=-0.1)
+    assert (_outputs(tmp_path, "ge", "gen", _flow_yaml(tmp_path, "ge.yaml", data=exp_data))
+            == _outputs(tmp_path, "gd", "gen", _flow_yaml(tmp_path, "gd.yaml", data=dec_data)))
+    assert (_outputs(tmp_path, "te", "train", _flow_yaml(tmp_path, "te.yaml", data=TINY_DATA, train=exp_train))
+            == _outputs(tmp_path, "td", "train", _flow_yaml(tmp_path, "td.yaml", data=TINY_DATA, train=dec_train)))
+    cfg = _config(tmp_path, "base.yaml", data=TINY_DATA, trn=TINY_TRAIN)
+    assert (_outputs(tmp_path, "se", "train", cfg, ["train.lr_base=1e-3", "data.view_jitter=2E-1"])
+            == _outputs(tmp_path, "sd", "train", cfg, ["train.lr_base=0.001", "data.view_jitter=0.2"]))
+
+
+def test_integer_in_a_real_field_is_stored_as_a_float(tmp_path):
+    int_cfg = _flow_yaml(tmp_path, "i.yaml", data=dict(TINY_DATA, view_jitter=0),
+                         train=dict(TINY_TRAIN, momentum=0))
+    float_cfg = _flow_yaml(tmp_path, "f.yaml", data=dict(TINY_DATA, view_jitter=0.0),
+                           train=dict(TINY_TRAIN, momentum=0.0))
+    assert _outputs(tmp_path, "gi", "gen", int_cfg) == _outputs(tmp_path, "gf", "gen", float_cfg)
+    assert _outputs(tmp_path, "ti", "train", int_cfg) == _outputs(tmp_path, "tf", "train", float_cfg)
+
+
+def test_exponents_stay_rejected_in_int_fields_and_literal_in_strings(tmp_path, monkeypatch, capsys):
+    bad = _flow_yaml(tmp_path, "bad.yaml", data=TINY_DATA, train=dict(TINY_TRAIN, epochs="1e3"))
+    assert main(["train", "-c", str(bad), "-o", str(tmp_path / "x")]) == 2
+    good = _config(tmp_path, "good.yaml", data=TINY_DATA, trn=TINY_TRAIN)
+    assert main(["train", "-c", str(good), "-o", str(tmp_path / "y"), "--set", "train.epochs=1e3"]) == 2
+    assert capsys.readouterr().err.count("train.epochs must be an integer") == 2
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "-c", str(good), "-o", "1e3"]) == 0
+    from_dir = _flow_yaml(tmp_path, "dir.yaml", data={"dir": "1e3"}, train=TINY_TRAIN)
+    assert main(["train", "-c", str(from_dir), "-o", "run"]) == 0
+    assert json.loads((tmp_path / "run" / "config.json").read_text())["data_source"] == "dataset dir 1e3"
+
+
+# sha256 of config files as written before reidlab.config derived the
+# schema from the dataclasses; the schema must write the same bytes.
+PINNED_SHA256 = {
+    "train": "b6d5bbfb464ec315855c9c2348bcd88917670a1575a2028bda3aaf462b8a10f3",
+    "grid": "adf40f31d2f5efb842ba7e86a74b5a1df09461e101bfa164dc45ac924ed2781a",
+    "manifest": "c658dd48ac87f3ab85291a052631f87273dd3c11b9c9f978ef4ac155f8816d06",
+    "manifest_preset": "2f6c3bc024ad22d55b4c740413622dfd863c361859b7cf662b13b96ab7cec5b7",
+    "repro": "4b1096beee057325a307308f13a3bc8b9d47b84aedf61c0e3a849f2062032566",
+}
+# The grid cells' config.json also hold trained scores; their config hashes are pinned.
+PINNED_CELL_CONFIG_HASHES = {
+    "cell_bs4_lr0.02": "1d06257dceaba5f7c3eb0aa5661123b9f3297e2f7a8ba91b99d901fafa3a1be5",
+    "cell_bs4_lr0.05": "0b2079f2862facd0b504a427a7c66b057024406c556c8983fa94fb1625df2b32",
+    "cell_bs6_lr0.02": "bcab807ef29023b4544f3ff5a45fcd6ee30d82f9fe00664c267a2a73ae91f3bd",
+    "cell_bs6_lr0.05": "834873cf65608a848a66187e004de8e98ea2af8f989bcfbf002ba03dbfd27f08",
+}
+
+
+def test_config_files_keep_their_pinned_bytes(tmp_path):
+    def sha256(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def run(*argv):
+        assert main(list(map(str, argv))) == 0, argv
+
+    run("train", "-c", _config(tmp_path, "t.yaml", data=TINY_DATA, trn=TINY_TRAIN), "-o", tmp_path / "run")
+    grid = dict(TINY_TRAIN, grid={"batch_sizes": [4, 6], "lr_values": [0.05, 0.02]})
+    run("train", "-c", _config(tmp_path, "g.yaml", data=TINY_DATA, trn=grid), "-o", tmp_path / "grid")
+    run("gen", "-c", _config(tmp_path, "d.yaml", data=TINY_DATA), "-o", tmp_path / "data")
+    preset = {"preset": "clean", "seed": 1, "ids_train": 4, "ids_test": 3, "views_per_id": 4}
+    run("gen", "-c", _config(tmp_path, "p.yaml", data=preset), "-o", tmp_path / "pdata")
+    run("repro", "ensemble", "-o", tmp_path / "suite", "--seeds", "1", "--epochs", "2")
+    assert {
+        "train": sha256(tmp_path / "run" / "config.json"),
+        "grid": sha256(tmp_path / "grid" / "config.json"),
+        "manifest": sha256(tmp_path / "data" / "manifest.json"),
+        "manifest_preset": sha256(tmp_path / "pdata" / "manifest.json"),
+        "repro": sha256(tmp_path / "suite" / "config.json"),
+    } == PINNED_SHA256
+    cells = sorted((tmp_path / "grid").glob("cell_*/config.json"))
+    assert {p.parent.name: json.loads(p.read_text())["config_hash"] for p in cells} == PINNED_CELL_CONFIG_HASHES
+
+
 # --------------------------------------------------------------- cmd_train
 
 def test_train_writes_run_record_and_reruns_identically(tmp_path):
@@ -180,6 +278,61 @@ def test_manifest_missing_key_is_data_error(tmp_path):
         del manifest[key]
         (data_dir / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
         assert main(["train", "-c", str(cfg), "-o", str(tmp_path / "x")]) == 3, key
+
+
+def _train_on_edited_manifest(edit):
+    """argv training on a fresh dataset directory whose manifest.json went through edit."""
+    def argv(tmp_path):
+        gen_cfg = _config(tmp_path, "gen.yaml", data=TINY_DATA)
+        data_dir = tmp_path / "data"
+        assert main(["gen", "-c", str(gen_cfg), "-o", str(data_dir)]) == 0
+        edit(data_dir / "manifest.json")
+        cfg = _config(tmp_path, "train.yaml", data={"dir": str(data_dir)}, trn=TINY_TRAIN)
+        return ["train", "-c", str(cfg), "-o", str(tmp_path / "x")]
+    return argv
+
+
+def _set_modality_entry(key, value):
+    def edit(path):
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest["modalities"][0][key] = value
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+    return edit
+
+
+def _gen_under_regular_file(tmp_path):
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    cfg = _config(tmp_path, data=TINY_DATA)
+    return ["gen", "-c", str(cfg), "-o", str(tmp_path / "file" / "sub")]
+
+
+FILE_FAILURES = {
+    "manifest names a missing file": (_train_on_edited_manifest(_set_modality_entry("file", "gone.uceb")), 3),
+    "manifest file is a number": (_train_on_edited_manifest(_set_modality_entry("file", 5)), 3),
+    "manifest file is a directory": (_train_on_edited_manifest(_set_modality_entry("file", ".")), 3),
+    "manifest name is a number": (_train_on_edited_manifest(_set_modality_entry("name", 5)), 3),
+    "manifest is not UTF-8": (
+        _train_on_edited_manifest(lambda p: p.write_bytes(p.read_bytes() + b"\xff\xfe")), 3),
+    "missing checkpoint": (lambda t: ["eval", "-c", str(_config(t, data=TINY_DATA)), "--checkpoint",
+                                      str(t / "gone.bin"), "-o", str(t / "x")], 3),
+    "missing external file": (lambda t: ["eval", "--external", str(t / "gone.uceb"),
+                                         "-o", str(t / "x")], 3),
+    "external file is a directory": (lambda t: ["eval", "--external", str(t), "-o", str(t / "x")], 3),
+    "data.dir is a number": (lambda t: ["train", "-c", str(_config(t, data={"dir": 5}, trn=TINY_TRAIN)),
+                                        "-o", str(t / "x")], 2),
+    "output under a regular file": (_gen_under_regular_file, 3),
+}
+
+
+@pytest.mark.parametrize("case", list(FILE_FAILURES))
+def test_file_failure_exits_with_one_line_message(tmp_path, capsys, case):
+    make_argv, code = FILE_FAILURES[case]
+    argv = make_argv(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1, err
+    assert err.startswith("config error" if code == 2 else ("data error", "file error")), err
 
 
 # ---------------------------------------------------------------- cmd_eval

@@ -1,24 +1,28 @@
 import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from reidlab.config import config_dict as synth_config_dict
 from reidlab.errors import DataError, ShapeError
 from reidlab.fileio import (
     EMBEDDING_MAGIC,
     loss_curve_csv,
     read_dataset,
     read_embedding_file,
-    synth_config_dict,
     write_dataset,
     write_embedding_file,
     write_run_record,
 )
-from reidlab.model import load_checkpoint
+from reidlab.model import load_checkpoint, save_checkpoint
 from reidlab.objectives import Strategy
 from reidlab.pipeline import TrainConfig, config_hash, train
-from reidlab.synthdata import SynthConfig, generate
+from reidlab.synthdata import SynthConfig, generate, select_modalities
 
 
 def _ds(seed=0, m=2):
@@ -200,3 +204,113 @@ def test_loss_curve_csv_and_run_record(tmp_path):
             np.testing.assert_array_equal(wa, wb)
         np.testing.assert_array_equal(a.bn.running_mean, b.bn.running_mean)
     np.testing.assert_array_equal(model.fused.classifier, rec.model.fused.classifier)
+
+
+# ------------------------------------------------- fuzzed reader inputs
+#
+# Every reader either round-trips a mutated file or raises DataError;
+# any other exception is a reader bug.
+
+@st.composite
+def _mutated(draw, blob: bytes, donor: bytes):
+    """blob truncated, with bytes flipped, or spliced with a suffix of donor."""
+    kind = draw(st.sampled_from(["truncate", "flip", "splice"]))
+    if kind == "truncate":
+        return blob[: draw(st.integers(0, len(blob) - 1))]
+    if kind == "splice":
+        return blob[: draw(st.integers(0, len(blob)))] + donor[draw(st.integers(0, len(donor))):]
+    out = bytearray(blob)
+    for _ in range(draw(st.integers(1, 3))):
+        # Half the flips land in the first 64 bytes, where headers live.
+        i = draw(st.one_of(st.integers(0, 63), st.integers(0, len(blob) - 1)))
+        out[i] ^= draw(st.integers(1, 255))
+    return bytes(out)
+
+
+def _uceb_bytes(name, features, ids, views) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.uceb"
+        write_embedding_file(path, name, features, ids, views)
+        return path.read_bytes()
+
+
+_DS = _ds()
+_UCEB = _uceb_bytes("mod0", _DS.features[0], _DS.ids, _DS.view_ids)
+_UCEB_DONOR = _uceb_bytes("other", _DS.features[1][:5, :4], _DS.ids[:5], _DS.view_ids[:5])
+_FUZZ = settings(max_examples=200, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_FUZZ
+@given(blob=_mutated(_UCEB, _UCEB_DONOR))
+def test_fuzzed_embedding_file_round_trips_or_is_data_error(tmp_path, blob):
+    path = tmp_path / "f.uceb"
+    path.write_bytes(blob)
+    try:
+        rec = read_embedding_file(path)
+    except DataError:
+        return
+    write_embedding_file(path, rec.name, rec.features, rec.ids, rec.view_ids)
+    assert path.read_bytes() == blob
+
+
+def _checkpoint_bytes(strategy) -> bytes:
+    cfg = TrainConfig(strategy=strategy, p=3, k=2, epochs=2, warmup_epochs=1,
+                      hidden_dims=(8,), embed_dim=4, seed=0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "checkpoint.bin"
+        save_checkpoint(train(_DS, cfg).model, path)
+        return path.read_bytes()
+
+
+_CHECKPOINT = _checkpoint_bytes(Strategy.FUSION_CONCAT)
+_CHECKPOINT_DONOR = _checkpoint_bytes(Strategy.UNICAT)
+
+
+@_FUZZ
+@given(blob=_mutated(_CHECKPOINT, _CHECKPOINT_DONOR))
+def test_fuzzed_checkpoint_round_trips_or_is_data_error(tmp_path, blob):
+    path = tmp_path / "checkpoint.bin"
+    path.write_bytes(blob)
+    try:
+        model = load_checkpoint(path)
+    except DataError:
+        return
+    save_checkpoint(model, path)
+    saved = path.read_bytes()
+    payload = len(saved) - 16 - int.from_bytes(saved[8:16], "little")
+    assert blob[-payload:] == saved[-payload:]  # the arrays are the file's own bytes
+    save_checkpoint(load_checkpoint(path), path)
+    assert path.read_bytes() == saved
+
+
+@pytest.fixture(scope="module")
+def dataset_dir(tmp_path_factory):
+    outdir = tmp_path_factory.mktemp("fuzz") / "data"
+    write_dataset(_DS, outdir)
+    return outdir
+
+
+def _manifest_cases():
+    with tempfile.TemporaryDirectory() as tmp:
+        write_dataset(_DS, tmp)
+        blob = (Path(tmp) / "manifest.json").read_bytes()
+        write_dataset(select_modalities(_DS, [1]), tmp)
+        return blob, (Path(tmp) / "manifest.json").read_bytes()
+
+
+@_FUZZ
+@given(blob=_mutated(*_manifest_cases()))
+def test_fuzzed_manifest_round_trips_or_is_data_error(tmp_path, dataset_dir, blob):
+    (dataset_dir / "manifest.json").write_bytes(blob)
+    try:
+        ds, _ = read_dataset(dataset_dir)
+    except DataError:
+        return
+    write_dataset(ds, tmp_path / "copy")
+    back, _ = read_dataset(tmp_path / "copy")
+    assert back.modality_names == ds.modality_names
+    for a, b in zip(back.features, ds.features):
+        np.testing.assert_array_equal(a, b)
+    for name in ("ids", "view_ids", "split"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(ds, name))
