@@ -22,7 +22,6 @@ from .objectives import (
     combined_loss,
     cross_entropy,
     fuse,
-    strategy_loss,
     triplet_loss,
 )
 from .synthdata import MultimodalDataset, SynthConfig, generate
@@ -48,7 +47,6 @@ __all__ = [
     "combined_loss",
     "cross_entropy",
     "fuse",
-    "strategy_loss",
     "triplet_loss",
     "MultimodalDataset",
     "SynthConfig",

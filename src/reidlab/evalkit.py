@@ -75,9 +75,6 @@ class EmbeddingSet:
                 f"embedding set misaligned: {self.features.shape} features, "
                 f"{self.ids.shape} ids, {self.view_ids.shape} views"
             )
-        norms = np.sqrt(np.sum(self.features * self.features, axis=1))
-        if np.any(norms == 0):
-            raise DataError(f"{self.tag} embeddings contain a zero-norm row")
 
 
 @dataclass

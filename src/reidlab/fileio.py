@@ -130,30 +130,41 @@ def dump_json(obj, path: Path) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _manifest(ds: MultimodalDataset, files: list, cfg_dict: Optional[dict]) -> dict:
+    """The manifest.json written for ds, its modality files and its generator config."""
+    return {
+        "format": "reidlab-dataset",
+        "version": 1,
+        "num_samples": ds.num_samples,
+        "modalities": [
+            {"name": name, "file": fname, "dim": int(x.shape[1])}
+            for name, fname, x in zip(ds.modality_names, files, ds.features)
+        ],
+        "split": "".join(_SPLIT_CODES[int(s)] for s in ds.split),
+        "config": cfg_dict,
+        "config_hash": config_hash(cfg_dict) if cfg_dict is not None else None,
+    }
+
+
+def _canonical(obj: dict) -> dict:
+    """Each value's sorted-key JSON text, so that 1, 1.0 and true differ."""
+    return {k: json.dumps(v, sort_keys=True) for k, v in obj.items()}
+
+
 def write_dataset(ds: MultimodalDataset, outdir, cfg: Optional[SynthConfig] = None) -> None:
     """Dataset directory: one embedding file per modality + manifest.json."""
     ds.validate()
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    modalities = []
-    for i, name in enumerate(ds.modality_names):
-        fname = f"modality_{i}.uceb"
-        write_embedding_file(outdir / fname, name, ds.features[i], ds.ids, ds.view_ids)
-        modalities.append({"name": name, "file": fname, "dim": int(ds.features[i].shape[1])})
-    cfg_dict = None if cfg is None else config_dict(cfg)
-    manifest = {
-        "format": "reidlab-dataset",
-        "version": 1,
-        "num_samples": ds.num_samples,
-        "modalities": modalities,
-        "split": "".join(_SPLIT_CODES[int(s)] for s in ds.split),
-        "config": cfg_dict,
-        "config_hash": config_hash(cfg_dict) if cfg_dict is not None else None,
-    }
-    dump_json(manifest, outdir / "manifest.json")
+    files = [f"modality_{i}.uceb" for i in range(ds.num_modalities)]
+    for name, fname, x in zip(ds.modality_names, files, ds.features):
+        write_embedding_file(outdir / fname, name, x, ds.ids, ds.view_ids)
+    dump_json(_manifest(ds, files, None if cfg is None else config_dict(cfg)), outdir / "manifest.json")
 
 
 def read_dataset(path) -> tuple[MultimodalDataset, dict]:
+    """A dataset directory whose manifest.json is exactly the one written
+    for its files: every count, dim, name and the config hash must agree."""
     path = Path(path)
     manifest_path = path / "manifest.json"
     try:
@@ -169,20 +180,17 @@ def read_dataset(path) -> tuple[MultimodalDataset, dict]:
     for entry in manifest["modalities"]:
         if not (isinstance(entry, dict) and all(isinstance(entry.get(k), str) for k in ("file", "name"))):
             raise DataError(f"{manifest_path}: each modality entry needs string 'file' and 'name'")
+    files = [entry["file"] for entry in manifest["modalities"]]
     features = []
     names = []
     ids = None
     view_ids = None
-    for entry in manifest["modalities"]:
-        rec = read_embedding_file(path / entry["file"])
-        if rec.name != entry["name"]:
-            raise DataError(
-                f"{entry['file']}: modality name {rec.name!r} does not match manifest {entry['name']!r}"
-            )
+    for fname in files:
+        rec = read_embedding_file(path / fname)
         if ids is None:
             ids, view_ids = rec.ids, rec.view_ids
         elif not (np.array_equal(ids, rec.ids) and np.array_equal(view_ids, rec.view_ids)):
-            raise DataError(f"{entry['file']}: ids/view_ids differ across modality files")
+            raise DataError(f"{fname}: ids/view_ids differ across modality files")
         features.append(rec.features)
         names.append(rec.name)
     split_str = manifest["split"]
@@ -196,6 +204,11 @@ def read_dataset(path) -> tuple[MultimodalDataset, dict]:
         features=features, ids=ids, view_ids=view_ids, split=split, modality_names=names
     )
     ds.validate()
+    want = _canonical(_manifest(ds, files, manifest.get("config")))
+    got = _canonical(manifest)
+    differ = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
+    if differ:
+        raise DataError(f"{manifest_path}: key(s) {differ} differ from the manifest written for these files")
     return ds, manifest
 
 

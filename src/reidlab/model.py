@@ -13,6 +13,11 @@ Under fusion strategies the streams have no classifiers; one fused
 BNNeck + classifier sits on top of the fused embedding. Stream BNNecks
 still track running statistics during fusion training so per-stream
 retrieval features are always post-BN, whatever the strategy.
+
+A head is a BNNeck plus an optional classifier: each stream's (a
+StreamParams) and the fused one (a Head). head_forward and head_backward
+are the only BNNeck + classifier code; stream_forward and
+stream_backward wrap them around the stream's MLP.
 """
 
 from __future__ import annotations
@@ -73,17 +78,17 @@ class StreamParams:
 
 
 @dataclass
-class FusedHead:
-    """BNNeck + bias-free classifier over the fused embedding."""
+class Head:
+    """BNNeck + bias-free classifier: the fused head, or a head's gradients."""
 
     bn: BnNeck
-    classifier: np.ndarray
+    classifier: Optional[np.ndarray]
 
 
 @dataclass
 class ModelParams:
     streams: list
-    fused: Optional[FusedHead]
+    fused: Optional[Head]
     strategy: Strategy
     modality_names: list
     num_classes: int
@@ -166,7 +171,7 @@ def init_model(
         op = inference_fusion_op(strategy)
         fused_dim = embed_dim * len(input_dims) if op is FusionOperator.CONCAT else embed_dim
         head_rng = rng.split("init:fused")
-        fused = FusedHead(
+        fused = Head(
             bn=init_bnneck(fused_dim),
             classifier=head_rng.normal(num_classes, fused_dim) * np.sqrt(2.0 / fused_dim),
         )
@@ -191,23 +196,15 @@ class BnCache:
 class StreamCache:
     hiddens: list  # inputs to each layer: h_0 = x, h_1 = relu(a_1), ...
     pre_acts: list  # pre-activation of each hidden layer
-    bn: Optional[BnCache]
-
-
-@dataclass
-class StreamOutput:
-    z: Matrix
-    z_bn: Matrix
-    logits: Optional[Matrix]
-    cache: Optional[StreamCache]
 
 
 @dataclass
 class HeadOutput:
-    z: Matrix  # the fused embedding fed into the head (pre-BN)
+    z: Matrix  # the pre-BN embedding fed into the head
     z_bn: Matrix
-    logits: Matrix
-    bn_cache: Optional[BnCache]
+    logits: Optional[Matrix]  # None for a head without a classifier
+    bn_cache: Optional[BnCache]  # None in eval mode
+    cache: Optional[StreamCache] = None  # a stream's MLP caches, train mode only
 
 
 def _bn_forward(
@@ -242,10 +239,21 @@ def _bn_backward(bn: BnNeck, cache: BnCache, grad_z_bn: Matrix) -> tuple[Matrix,
     return grad_z, grad_gamma
 
 
+def head_forward(
+    head: Union[Head, StreamParams], z: Matrix, train: bool, update_running: bool = True
+) -> HeadOutput:
+    """BNNeck -> z_bn; classifier (if any) -> logits."""
+    if z.shape[1] != head.bn.gamma.shape[0]:
+        raise ShapeError(f"embedding dim {z.shape[1]} does not match head dim {head.bn.gamma.shape[0]}")
+    z_bn, bn_cache = _bn_forward(head.bn, z, train, update_running)
+    logits = matmul(z_bn, head.classifier.T) if head.classifier is not None else None
+    return HeadOutput(z=z, z_bn=z_bn, logits=logits, bn_cache=bn_cache)
+
+
 def stream_forward(
     params: StreamParams, x: Matrix, train: bool, update_running: bool = True
-) -> StreamOutput:
-    """MLP -> z; BNNeck -> z_bn; classifier (if any) -> logits."""
+) -> HeadOutput:
+    """MLP -> z, then the stream's head; train mode keeps the MLP caches."""
     x = as_matrix(x, "x")
     if x.shape[1] != params.weights[0].shape[1]:
         raise ShapeError(
@@ -264,29 +272,59 @@ def stream_forward(
             hiddens.append(h)
         else:
             z = a
-    z_bn, bn_cache = _bn_forward(params.bn, z, train, update_running)
-    logits = matmul(z_bn, params.classifier.T) if params.classifier is not None else None
-    cache = StreamCache(hiddens=hiddens, pre_acts=pre_acts, bn=bn_cache) if train else None
-    return StreamOutput(z=z, z_bn=z_bn, logits=logits, cache=cache)
+    out = head_forward(params, z, train, update_running)
+    if train:
+        out.cache = StreamCache(hiddens=hiddens, pre_acts=pre_acts)
+    return out
 
 
-def head_forward(
-    head: FusedHead, z_fuse: Matrix, train: bool, update_running: bool = True
-) -> HeadOutput:
-    z_fuse = as_matrix(z_fuse, "z_fuse")
-    if z_fuse.shape[1] != head.classifier.shape[1]:
-        raise ShapeError(
-            f"fused dim {z_fuse.shape[1]} does not match head dim {head.classifier.shape[1]}"
-        )
-    z_bn, bn_cache = _bn_forward(head.bn, z_fuse, train, update_running)
-    logits = matmul(z_bn, head.classifier.T)
-    return HeadOutput(z=z_fuse, z_bn=z_bn, logits=logits, bn_cache=bn_cache)
+def head_backward(
+    head: Union[Head, StreamParams],
+    output: HeadOutput,
+    grad_z: Optional[Matrix],
+    grad_logits: Optional[Matrix],
+) -> tuple[Head, Matrix]:
+    """Gradients of a head's BNNeck and classifier (as a Head), plus the gradient at z.
+
+    grad_z enters at the pre-BN embedding (triplet path); grad_logits at
+    the classifier output (CE path, back through the BNNeck). Either may
+    be None (treated as zero). The classifier gradient is None only for a
+    head without a classifier, and the BN running statistics are None.
+    """
+    if output.bn_cache is None:
+        raise StateError("head_backward requires a train-mode output with caches")
+    total_gz = np.zeros_like(output.z) if grad_z is None else np.array(grad_z, dtype=np.float64)
+    if total_gz.shape != output.z.shape:
+        raise ShapeError(f"grad_z shape {total_gz.shape} does not match z shape {output.z.shape}")
+    grad_gamma = np.zeros_like(head.bn.gamma)
+    grad_classifier = None if head.classifier is None else np.zeros_like(head.classifier)
+    if grad_logits is not None:
+        if head.classifier is None:
+            raise StateError("grad_logits given but the head has no classifier")
+        if grad_logits.shape != output.logits.shape:
+            raise ShapeError(
+                f"grad_logits shape {grad_logits.shape} does not match logits shape {output.logits.shape}"
+            )
+        grad_classifier = matmul(grad_logits.T, output.z_bn)
+        g_zbn = matmul(grad_logits, head.classifier)
+        g_from_bn, grad_gamma = _bn_backward(head.bn, output.bn_cache, g_zbn)
+        total_gz = total_gz + g_from_bn
+    bn = BnNeck(grad_gamma, running_mean=None, running_var=None)
+    return Head(bn=bn, classifier=grad_classifier), total_gz
 
 
-def _mlp_backward(params: StreamParams, cache: StreamCache, grad_z: Matrix) -> tuple[list, list]:
+def stream_backward(
+    params: StreamParams,
+    output: HeadOutput,
+    grad_z: Optional[Matrix],
+    grad_logits: Optional[Matrix],
+) -> StreamParams:
+    """Exact gradients for one stream, in the stream's own structure:
+    head_backward on its BNNeck and classifier, then back through the MLP."""
+    head, g = head_backward(params, output, grad_z, grad_logits)
+    cache = output.cache
     grads_w = [None] * len(params.weights)
     grads_b = [None] * len(params.biases)
-    g = grad_z
     last = len(params.weights) - 1
     for l in range(last, -1, -1):
         if l < last:
@@ -296,65 +334,7 @@ def _mlp_backward(params: StreamParams, cache: StreamCache, grad_z: Matrix) -> t
             grads_b[l] = g.sum(axis=0)
         if l > 0:
             g = matmul(g, params.weights[l])
-    return grads_w, grads_b
-
-
-def stream_backward(
-    params: StreamParams,
-    output: StreamOutput,
-    grad_z: Optional[Matrix],
-    grad_logits: Optional[Matrix],
-) -> StreamParams:
-    """Exact gradients for one stream, in the stream's own structure.
-
-    grad_z enters at the pre-BN embedding (triplet path); grad_logits at
-    the classifier output (CE path, back through the BNNeck). Either may
-    be None (treated as zero). The classifier gradient is None without
-    grad_logits, and the BN running statistics are None.
-    """
-    if output.cache is None:
-        raise StateError("stream_backward requires a train-mode output with caches")
-    z = output.z
-    total_gz = np.zeros_like(z) if grad_z is None else np.array(grad_z, dtype=np.float64)
-    if total_gz.shape != z.shape:
-        raise ShapeError(f"grad_z shape {total_gz.shape} does not match z shape {z.shape}")
-    grad_classifier = None
-    grad_gamma = np.zeros_like(params.bn.gamma)
-    if grad_logits is not None:
-        if params.classifier is None:
-            raise StateError("grad_logits given but the stream has no classifier")
-        if grad_logits.shape != output.logits.shape:
-            raise ShapeError(
-                f"grad_logits shape {grad_logits.shape} does not match logits shape {output.logits.shape}"
-            )
-        grad_classifier = matmul(grad_logits.T, output.z_bn)
-        g_zbn = matmul(grad_logits, params.classifier)
-        g_from_bn, grad_gamma = _bn_backward(params.bn, output.cache.bn, g_zbn)
-        total_gz = total_gz + g_from_bn
-    grads_w, grads_b = _mlp_backward(params, output.cache, total_gz)
-    bn = BnNeck(grad_gamma, running_mean=None, running_var=None)
-    return StreamParams(weights=grads_w, biases=grads_b, bn=bn, classifier=grad_classifier)
-
-
-def head_backward(
-    head: FusedHead,
-    output: HeadOutput,
-    grad_z: Optional[Matrix],
-    grad_logits: Optional[Matrix],
-) -> tuple[FusedHead, Matrix]:
-    """Gradients of the fused head (as a FusedHead), plus the gradient at z_fuse."""
-    if output.bn_cache is None:
-        raise StateError("head_backward requires a train-mode output with caches")
-    total_gz = np.zeros_like(output.z) if grad_z is None else np.array(grad_z, dtype=np.float64)
-    grad_gamma = np.zeros_like(head.bn.gamma)
-    grad_classifier = np.zeros_like(head.classifier)
-    if grad_logits is not None:
-        grad_classifier = matmul(grad_logits.T, output.z_bn)
-        g_zbn = matmul(grad_logits, head.classifier)
-        g_from_bn, grad_gamma = _bn_backward(head.bn, output.bn_cache, g_zbn)
-        total_gz = total_gz + g_from_bn
-    bn = BnNeck(grad_gamma, running_mean=None, running_var=None)
-    return FusedHead(bn=bn, classifier=grad_classifier), total_gz
+    return StreamParams(weights=grads_w, biases=grads_b, bn=head.bn, classifier=head.classifier)
 
 
 FUSED_SELECTOR = "multimodal"
@@ -538,8 +518,12 @@ def load_checkpoint(path) -> ModelParams:
     size = 8 * sum(arr.size for _, arr, _ in slots)
     if offset + size != len(blob):
         raise DataError(f"{path}: payload has {len(blob) - offset} bytes, its header needs {size}")
+    payload = np.frombuffer(blob, dtype="<f8", offset=offset)
+    if not np.all(np.isfinite(payload)):
+        raise DataError(f"{path}: checkpoint payload holds non-finite values")
+    start = 0
     for _, arr, _ in slots:
-        arr[...] = np.frombuffer(blob, dtype="<f8", count=arr.size, offset=offset).reshape(arr.shape)
-        offset += 8 * arr.size
+        arr[...] = payload[start : start + arr.size].reshape(arr.shape)
+        start += arr.size
     params.validate()
     return params

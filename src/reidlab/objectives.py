@@ -1,12 +1,13 @@
-"""Losses and the per-strategy loss wiring.
+"""Losses, the fusion operators, and each strategy's inference rule.
 
 The training objective is L(z) = L_tri(z) + lambda * L_CE(logits, y),
-where L_tri is a soft-margin batch-hard triplet loss. Three strategies
-wire it to a multi-stream model:
+where L_tri is a soft-margin batch-hard triplet loss. The strategies
+differ only in which heads carry that loss (pipeline.batch_gradients
+attaches it):
 
 - fusion-avg / fusion-concat: one global loss on the fused embedding
   z_fuse and the fused head's logits; gradients reach every stream
-  through the fusion operator.
+  through the fusion operator (fuse and split_fusion_grad).
 - unicat: a sum of per-stream local losses; each stream's gradient
   depends only on its own loss, so streams train fully independently.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,14 +37,6 @@ class Strategy(enum.Enum):
     @property
     def is_fusion(self) -> bool:
         return self is not Strategy.UNICAT
-
-
-def strategy_from_name(name: str) -> Strategy:
-    try:
-        return Strategy(name)
-    except ValueError:
-        valid = ", ".join(s.value for s in Strategy)
-        raise ConfigError(f"unknown strategy {name!r}; expected one of: {valid}") from None
 
 
 def inference_fusion_op(strategy: Strategy) -> FusionOperator:
@@ -250,46 +243,3 @@ def split_fusion_grad(
         out.append(grad_fuse[:, start : start + d])
         start += d
     return out
-
-
-@dataclass(frozen=True)
-class StrategyGrads:
-    """Gradients at the loss interfaces of each trainable head.
-
-    unicat: per_stream[i] = (grad at z_i, grad at logits_i); fused None.
-    fusion: fused = (grad at z_fuse, grad at fused logits); per_stream
-    None (stream gradients arrive through the fused head's backward and
-    split_fusion_grad).
-    """
-
-    per_stream: Optional[list[tuple[Matrix, Matrix]]]
-    fused: Optional[tuple[Matrix, Matrix]]
-
-
-def strategy_loss(
-    stream_outputs: Sequence,
-    fused_output,
-    y: Sequence[int],
-    strategy: Strategy,
-    cfg: LossConfig,
-) -> tuple[float, StrategyGrads]:
-    """Batch loss and head-level gradients for one training strategy.
-
-    stream_outputs carry per-stream z (pre-BN) and logits; fused_output
-    carries z_fuse (pre-BN) and the fused head's logits, required under
-    fusion strategies and ignored under unicat.
-    """
-    if strategy.is_fusion:
-        if fused_output is None:
-            raise ConfigError(f"strategy {strategy.value} requires a fused head output")
-        loss, grad_z, grad_logits = combined_loss(fused_output.z, fused_output.logits, y, cfg)
-        return loss, StrategyGrads(per_stream=None, fused=(grad_z, grad_logits))
-    per_stream = []
-    total = 0.0
-    for i, out in enumerate(stream_outputs):
-        if out.logits is None:
-            raise ConfigError(f"unicat requires a classifier on stream {i}")
-        loss_i, gz, glog = combined_loss(out.z, out.logits, y, cfg)
-        total += loss_i
-        per_stream.append((gz, glog))
-    return total, StrategyGrads(per_stream=per_stream, fused=None)

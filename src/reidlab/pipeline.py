@@ -1,5 +1,6 @@
-"""Training orchestration: PK batches, SGD with momentum, warmup+cosine
-learning-rate schedule, the per-strategy epoch loop, and grid search.
+"""Training orchestration: PK batches, the loss wiring of each strategy,
+SGD with momentum, warmup+cosine learning-rate schedule, the epoch loop,
+and grid search.
 
 A run is a pure function of (dataset, config): the model init, the batch
 sequence, and every update are derived from named sub-streams of the
@@ -31,13 +32,7 @@ from .model import (
     stream_forward,
 )
 from .numerics import Rng
-from .objectives import (
-    LossConfig,
-    fuse,
-    inference_fusion_op,
-    split_fusion_grad,
-    strategy_loss,
-)
+from .objectives import LossConfig, combined_loss, fuse, inference_fusion_op, split_fusion_grad
 from .synthdata import SPLIT_GALLERY, SPLIT_TRAIN, MultimodalDataset, split_query_gallery
 
 LR_MIN_RATIO = 0.002
@@ -139,11 +134,13 @@ def batch_gradients(
 ) -> tuple[float, dict]:
     """One strategy-aware forward/backward on a fixed batch.
 
-    Returns the batch loss and gradients keyed like iter_trainables.
-    With update_running=False the forward leaves BN running statistics
-    untouched (loss values are unaffected: train mode normalizes by
-    batch statistics), which makes repeated evaluation side-effect free
-    for finite-difference checking.
+    The loss is attached to the fused head under fusion strategies and to
+    every stream's head under unicat; the batch loss is the in-order sum
+    of those heads' combined losses. Returns it and gradients keyed like
+    iter_trainables. With update_running=False the forward leaves BN
+    running statistics untouched (loss values are unaffected: train mode
+    normalizes by batch statistics), which makes repeated evaluation
+    side-effect free for finite-difference checking.
     """
     num_streams = model.num_streams
     if len(x_batch) != num_streams:
@@ -152,22 +149,24 @@ def batch_gradients(
         stream_forward(model.streams[i], x_batch[i], train=True, update_running=update_running)
         for i in range(num_streams)
     ]
-    head_out = None
-    op = None
-    if model.strategy.is_fusion:
+    fusion = model.strategy.is_fusion
+    if fusion:
         op = inference_fusion_op(model.strategy)
         z_fuse = fuse([o.z for o in outs], op)
-        head_out = head_forward(model.fused, z_fuse, train=True, update_running=update_running)
-    loss, sgrads = strategy_loss(outs, head_out, y_batch, model.strategy, loss_cfg)
+        fused_out = head_forward(model.fused, z_fuse, train=True, update_running=update_running)
+    loss = 0.0
+    head_grads = []  # (grad at z, grad at logits) per loss head, then per stream
+    for out in [fused_out] if fusion else outs:
+        loss_i, grad_z, grad_logits = combined_loss(out.z, out.logits, y_batch, loss_cfg)
+        loss += loss_i
+        head_grads.append((grad_z, grad_logits))
     fused = None
-    per_stream = sgrads.per_stream
-    if model.strategy.is_fusion:
-        fused, gz_fuse = head_backward(model.fused, head_out, sgrads.fused[0], sgrads.fused[1])
-        gzs = split_fusion_grad(gz_fuse, op, [o.z.shape[1] for o in outs])
-        per_stream = [(gz, None) for gz in gzs]
+    if fusion:
+        fused, gz_fuse = head_backward(model.fused, fused_out, *head_grads[0])
+        head_grads = [(gz, None) for gz in split_fusion_grad(gz_fuse, op, [o.z.shape[1] for o in outs])]
     streams = [
         stream_backward(model.streams[i], outs[i], gz, glog)
-        for i, (gz, glog) in enumerate(per_stream)
+        for i, (gz, glog) in enumerate(head_grads)
     ]
     return loss, dict(iter_trainables(replace(model, streams=streams, fused=fused)))
 

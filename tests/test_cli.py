@@ -210,6 +210,28 @@ def test_config_files_keep_their_pinned_bytes(tmp_path):
     assert {p.parent.name: json.loads(p.read_text())["config_hash"] for p in cells} == PINNED_CELL_CONFIG_HASHES
 
 
+# sha256 of checkpoint.bin and loss_curve.csv after `train` on TINY_DATA and
+# TINY_TRAIN: every gradient bit of each strategy's training path goes into
+# them, so a refactor of the forward, loss or backward code must keep them.
+TRAINED_SHA256 = {
+    "fusion-avg": ("e09f54d8eb93241480da102134bf41380bcc58ec9c2b91c6764a29d7a4d02b42",
+                   "6d66bf89db005c12b0637314d6799ed7a5cd9f05171e6a17456d9748c95de28a"),
+    "fusion-concat": ("e1127419eae83fd2d5c23821550c8e9d12761acc959e040aa2762690fb0747ad",
+                      "b379ec860b15782b5d007d2228e6de29bee4dfc90f5f820888ee11dd7663a430"),
+    "unicat": ("f3d74cc57c3bb1408ec49c9fe8863057782b2fa173a44db7b3b8421b1c5e7760",
+               "dba360536e15244cd15f756b55159d2278dde8b0cf0816ec8f1c88d0f0ce7cc7"),
+}
+
+
+@pytest.mark.parametrize("strategy", list(TRAINED_SHA256))
+def test_trained_run_bytes_pinned(tmp_path, strategy):
+    cfg = _config(tmp_path, data=TINY_DATA, trn=dict(TINY_TRAIN, strategy=strategy))
+    assert main(["train", "-c", str(cfg), "-o", str(tmp_path / "run")]) == 0
+    got = tuple(hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
+                for name in ("checkpoint.bin", "loss_curve.csv"))
+    assert got == TRAINED_SHA256[strategy]
+
+
 # --------------------------------------------------------------- cmd_train
 
 def test_train_writes_run_record_and_reruns_identically(tmp_path):
@@ -300,6 +322,26 @@ def _set_modality_entry(key, value):
     return edit
 
 
+def _edit_manifest(edit):
+    def rewrite(path):
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        edit(manifest)
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+    return rewrite
+
+
+def _eval_on_checkpoint_with_first_weight(value):
+    """argv evaluating a trained checkpoint whose first payload float was set to value."""
+    def argv(tmp_path):
+        cfg, run = _trained_dir(tmp_path)
+        blob = bytearray((run / "checkpoint.bin").read_bytes())
+        start = 16 + int.from_bytes(blob[8:16], "little")
+        blob[start : start + 8] = np.array([value], dtype="<f8").tobytes()
+        (run / "checkpoint.bin").write_bytes(bytes(blob))
+        return ["eval", "-c", str(cfg), "--checkpoint", str(run / "checkpoint.bin"), "-o", str(tmp_path / "x")]
+    return argv
+
+
 def _gen_under_regular_file(tmp_path):
     (tmp_path / "file").write_text("", encoding="utf-8")
     cfg = _config(tmp_path, data=TINY_DATA)
@@ -313,6 +355,16 @@ FILE_FAILURES = {
     "manifest name is a number": (_train_on_edited_manifest(_set_modality_entry("name", 5)), 3),
     "manifest is not UTF-8": (
         _train_on_edited_manifest(lambda p: p.write_bytes(p.read_bytes() + b"\xff\xfe")), 3),
+    "manifest dim is wrong": (_train_on_edited_manifest(_set_modality_entry("dim", 999)), 3),
+    "manifest dim is a bool": (_train_on_edited_manifest(_set_modality_entry("dim", True)), 3),
+    "manifest num_samples is wrong": (
+        _train_on_edited_manifest(_edit_manifest(lambda m: m.update(num_samples=m["num_samples"] + 1))), 3),
+    "manifest config_hash is zeros": (
+        _train_on_edited_manifest(_edit_manifest(lambda m: m.update(config_hash="0" * 64))), 3),
+    "manifest config edited after writing": (
+        _train_on_edited_manifest(_edit_manifest(lambda m: m["config"].update(seed=1))), 3),
+    "checkpoint weight is NaN": (_eval_on_checkpoint_with_first_weight(np.nan), 3),
+    "checkpoint weight is +inf": (_eval_on_checkpoint_with_first_weight(np.inf), 3),
     "missing checkpoint": (lambda t: ["eval", "-c", str(_config(t, data=TINY_DATA)), "--checkpoint",
                                       str(t / "gone.bin"), "-o", str(t / "x")], 3),
     "missing external file": (lambda t: ["eval", "--external", str(t / "gone.uceb"),

@@ -302,7 +302,7 @@ def test_embedding_sets_and_zero_norm_guard():
     q.validate()
     bad = EmbeddingSet(np.zeros((2, 3)), np.array([1, 2]), np.array([0, 0]), "query")
     with pytest.raises(DataError):
-        bad.validate()
+        cosine_distance(bad, bad)
     with pytest.raises(ShapeError):
         EmbeddingSet(np.zeros((2, 3)), np.array([1]), np.array([0, 0]), "query").validate()
 

@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,16 +17,9 @@ from reidlab.objectives import (
     fuse,
     inference_fusion_op,
     split_fusion_grad,
-    strategy_from_name,
-    strategy_loss,
     triplet_loss,
 )
 from support import oracle_cross_entropy, oracle_triplet
-
-
-def _head(z, logits):
-    logits = None if logits is None else np.asarray(logits, float)
-    return SimpleNamespace(z=np.asarray(z, float), logits=logits)
 
 
 # ------------------------------------------------------------- triplet
@@ -246,56 +238,7 @@ def test_split_fusion_grad_routes_exactly():
         split_fusion_grad(g, FusionOperator.AVERAGE, [5, 6])
 
 
-# ------------------------------------------------------- strategy loss
-
-
-def test_strategy_loss_m1_all_strategies_agree():
-    r = Rng(14)
-    z = r.split("z").normal(4, 3)
-    logits = r.split("l").normal(4, 2)
-    y = np.array([0, 0, 1, 1])
-    cfg = LossConfig()
-    head = _head(z, logits)
-    vals = []
-    for strat in Strategy:
-        fused = head if strat.is_fusion else None
-        loss, _ = strategy_loss([head], fused, y, strat, cfg)
-        vals.append(loss)
-    assert vals[0] == vals[1] == vals[2]
-
-
-def test_strategy_loss_unicat_is_additive():
-    r = Rng(15)
-    y = np.array([0, 0, 1, 1])
-    cfg = LossConfig()
-    heads = [
-        _head(r.split(f"z{i}").normal(4, 3), r.split(f"l{i}").normal(4, 2)) for i in range(2)
-    ]
-    both, grads = strategy_loss(heads, None, y, Strategy.UNICAT, cfg)
-    solo = [strategy_loss([h], None, y, Strategy.UNICAT, cfg)[0] for h in heads]
-    assert abs(both - (solo[0] + solo[1])) < 1e-12
-    assert grads.fused is None and len(grads.per_stream) == 2
-    # identical duplicated streams double the loss
-    twice, _ = strategy_loss([heads[0], heads[0]], None, y, Strategy.UNICAT, cfg)
-    assert abs(twice - 2 * solo[0]) < 1e-12
-
-
-def test_strategy_loss_fusion_requires_fused_head():
-    heads = [_head(np.zeros((4, 3)), np.zeros((4, 2)))]
-    with pytest.raises(ConfigError):
-        strategy_loss(heads, None, np.array([0, 0, 1, 1]), Strategy.FUSION_CONCAT, LossConfig())
-    with pytest.raises(ConfigError):
-        strategy_loss(
-            [_head(np.zeros((4, 3)), None)], None, np.array([0, 0, 1, 1]),
-            Strategy.UNICAT, LossConfig(),
-        )
-
-
 def test_strategy_names_and_inference_ops():
-    assert strategy_from_name("fusion-avg") is Strategy.FUSION_AVG
-    assert strategy_from_name("unicat") is Strategy.UNICAT
-    with pytest.raises(ConfigError):
-        strategy_from_name("late-fusion")
     assert inference_fusion_op(Strategy.FUSION_AVG) is FusionOperator.AVERAGE
     assert inference_fusion_op(Strategy.FUSION_CONCAT) is FusionOperator.CONCAT
     assert inference_fusion_op(Strategy.UNICAT) is FusionOperator.CONCAT

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from reidlab.errors import ConfigError, DataError, ShapeError
-from reidlab.model import iter_trainables, stream_forward
+from reidlab.model import head_forward, init_model, iter_trainables, stream_forward
 from reidlab.numerics import Rng
-from reidlab.objectives import Strategy
+from reidlab.objectives import LossConfig, Strategy, combined_loss, fuse, inference_fusion_op
 from reidlab.pipeline import (
     LR_MIN_RATIO,
     OptState,
@@ -255,6 +255,27 @@ def test_batch_gradients_update_running_flag():
     assert not np.array_equal(model.streams[0].bn.running_mean, before[0])
     with pytest.raises(ShapeError):
         batch_gradients(model, xs[:1], y, _tiny_cfg().loss)
+
+
+def test_batch_loss_sums_the_loss_heads_in_order():
+    # unicat attaches the loss to every stream's head, fusion to the fused head only
+    dims = [5, 6, 4]
+    x = [Rng(30).split(f"x{i}").normal(8, d) for i, d in enumerate(dims)]
+    y = np.repeat(np.arange(4), 2)
+    cfg = LossConfig(lambda_ce=0.7, margin=0.1)
+    for strat in Strategy:
+        model = init_model(dims, ["a", "b", "c"], strat, 4, Rng(31), hidden_dims=(7,), embed_dim=3)
+        loss, _ = batch_gradients(model, x, y, cfg, update_running=False)
+        outs = [stream_forward(s, xi, train=True, update_running=False) for s, xi in zip(model.streams, x)]
+        if strat.is_fusion:
+            z_fuse = fuse([o.z for o in outs], inference_fusion_op(strat))
+            head = head_forward(model.fused, z_fuse, train=True, update_running=False)
+            assert loss == combined_loss(head.z, head.logits, y, cfg)[0]
+        else:
+            want = 0.0
+            for o in outs:
+                want += combined_loss(o.z, o.logits, y, cfg)[0]
+            assert loss == want
 
 
 def test_long_run_on_committed_preset_learns_train_set():
