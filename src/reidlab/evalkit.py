@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, NumericError, ShapeError
 from .model import FUSED_SELECTOR, ModelParams, embed_dataset
 from .numerics import Matrix, Rng, as_matrix, matmul
 from .objectives import Strategy
@@ -94,8 +94,9 @@ def _features_of(x) -> Matrix:
     return x.features if hasattr(x, "features") else as_matrix(x, "embeddings")
 
 
-def cosine_distance(q, g) -> Matrix:
-    """D[i, j] = 1 - <q_i, g_j> / (||q_i|| ||g_j||), clipped to [0, 2]."""
+def _unit_rows(q, g) -> tuple[Matrix, Matrix]:
+    """Query and gallery rows scaled to unit length, as float64: the
+    operands of every cosine distance."""
     qf = _features_of(q)
     gf = _features_of(g)
     if qf.shape[1] != gf.shape[1]:
@@ -105,44 +106,191 @@ def cosine_distance(q, g) -> Matrix:
         norms = np.sqrt(np.sum(f * f, axis=1))
         if np.any(norms == 0):
             raise DataError(f"{name} embeddings contain a zero-norm row; cosine undefined")
-        unit.append(f / norms[:, None])
-    d = matmul(unit[0], unit[1].T)
+        unit.append(np.asarray(f / norms[:, None], dtype=np.float64))
+    return unit[0], unit[1]
+
+
+def cosine_distance(q, g) -> Matrix:
+    """D[i, j] = 1 - <q_i, g_j> / (||q_i|| ||g_j||), clipped to [0, 2]."""
+    uq, ug = _unit_rows(q, g)
+    d = matmul(uq, ug.T)
     np.subtract(1.0, d, out=d)
     return np.clip(d, 0.0, 2.0, out=d)
 
 
-# cmc_map ranks a block of query rows at a time; its (rows x gallery)
-# temporaries hold at most this many cells per array (2 MiB of float64).
-_RANK_BLOCK_CELLS = 1 << 18
+def _screen_tolerance(uq: Matrix, ug: Matrix) -> float:
+    """A bound tau on |np.dot distance - cosine_distance| over all pairs of
+    rows of the unit-row matrices uq and ug.
+
+    - A float64 dot product of length k, summed in any order, with or
+      without FMA, is within gamma_k * sum_t |u_t v_t| <= gamma_k ||u|| ||v||
+      of the true dot, gamma_k = k 2^-53 / (1 - k 2^-53) (Higham, Accuracy
+      and Stability of Numerical Algorithms, 2nd ed., section 3.1). This
+      holds for matmul's fixed order and for any BLAS.
+    - A BLAS that flushes subnormal results to zero loses less than
+      2^-1022 at each of its fewer than 2k operations: under 4k 2^-1022 in
+      all, with the growth of later roundings.
+    - The computed unit rows are not exactly unit. ||u||^2 is a dot product
+      too, so it is at most (s + 4k 2^-1022) / (1 - gamma_k) for the
+      computed sum of squares s; the largest row's bound is taken.
+    - 1 - x rounds within 2^-53 when the result lies in [0, 2] (2^-52 is
+      taken), a result outside [0, 2] clips to the same bound as its true
+      value, and clip is 1-Lipschitz.
+
+    So each of the two distances is within gamma_k ||u|| ||v|| + 4k 2^-1022
+    + 2^-52 of clip(1 - true dot), and they are within twice that of each
+    other. The factor 1 + 2^-49 covers the roundings of this formula.
+    """
+    k = uq.shape[1]
+    gamma = k * 2.0**-53 / (1.0 - k * 2.0**-53)
+    flush = 4.0 * k * 2.0**-1022
+    sq = [(np.max(np.sum(u * u, axis=1), initial=0.0) + flush) / (1.0 - gamma) for u in (uq, ug)]
+    return 2.0 * (gamma * math.sqrt(sq[0] * sq[1]) + flush + 2.0**-52) * (1.0 + 2.0**-49)
 
 
-def _relevant_positions(row: np.ndarray, others: np.ndarray, same_id: np.ndarray, relevant: np.ndarray) -> np.ndarray:
+# Queries are ranked a block of rows at a time; the block's (rows x gallery)
+# temporaries hold at most this many cells per array (512 KiB of float64).
+# A block holds a few such arrays at once: 2^18 cells added about 2 MB to
+# the peak RSS of a repro run, and was no faster on 1000 x 4000.
+_RANK_BLOCK_CELLS = 1 << 16
+
+
+def _relevant_positions(
+    approx: np.ndarray,
+    others: np.ndarray,
+    kept: np.ndarray,
+    rel: np.ndarray,
+    rel_dist: np.ndarray,
+    tau: float,
+    exact_at,
+) -> np.ndarray:
     """0-based ranks, ascending, of one query's relevant gallery entries.
 
-    row holds the query's distances; others its non-relevant kept
-    distances sorted ascending, then +inf for every same-id entry;
-    same_id and relevant are masks over the gallery. The rank of a
-    relevant entry counts the kept entries before it in (distance, index)
-    order: the non-relevant ones closer than it, the relevant ones ahead
-    of it, and the non-relevant ones at an equal distance with a lower
-    index. Only the last count needs gallery indices, and only where such
-    a tie exists.
+    approx holds the query's distances, each within tau of the exact one;
+    others the kept non-relevant ones sorted ascending, then +inf for every
+    same-id entry; kept masks the kept non-relevant entries; rel holds the
+    relevant gallery indices, ascending, rel_dist their exact distances,
+    and exact_at(cols) gives the exact distances at gallery indices cols.
+
+    The rank of a relevant entry at exact distance d counts the relevant
+    entries ahead of it in (distance, index) order and the kept
+    non-relevant entries closer than d or at d with a lower index. A kept
+    entry whose approx distance lies below d - tau is surely closer, and
+    one above d + tau surely farther. Only entries near some relevant
+    entry's window [d - tau, d + tau] get exact distances, and they are
+    ranked by one sort of (exact distance, gallery index) keys. With
+    tau = 0 and exact distances, a window holds the entries tied with its
+    relevant entry, so only rows with such a tie take that step.
     """
-    dist = np.sort(row[relevant])
-    closer = np.searchsorted(others, dist, "left")
+    dist = np.sort(rel_dist)
+    # A float below fl(d - tau) is below d - tau, and one above fl(d + tau)
+    # above d + tau, so rounding the window edges loses nothing.
+    lower, upper = dist - tau, dist + tau
+    closer = np.searchsorted(others, lower, "left")
     pos = closer + np.arange(dist.size)
-    tied = np.searchsorted(others, dist, "right") > closer
-    if tied.any():
-        # Key the entries at a tied distance by (distance, gallery index):
-        # the relevant keys, sorted, line up with the tied slots of dist.
-        values = np.unique(dist[tied])
-        at_tie = np.isin(row, values)
-        rel, other = (
-            np.sort(np.searchsorted(values, row[k]) * row.size + k)
-            for k in (np.flatnonzero(relevant & at_tie), np.flatnonzero(~same_id & at_tie))
-        )
-        pos[tied] += np.searchsorted(other, rel) - np.searchsorted(other, rel - rel % row.size)
+    # others[closer] exists: it ends with an +inf per relevant entry.
+    occupied = np.flatnonzero(others[closer] <= upper)
+    if occupied.size:
+        # The band: every kept entry from the lowest occupied window to the
+        # highest. It spans the sorted slots start .. start + band.size - 1,
+        # and an entry outside it lies outside every occupied window, so
+        # its approx distance orders it against each relevant entry.
+        first, last = occupied[0], occupied[-1]
+        band = np.flatnonzero(kept & (approx >= lower[first]) & (approx <= upper[last]))
+        start = closer[first]
+        ranks = np.unique(np.concatenate([exact_at(band), rel_dist]), return_inverse=True)[1]
+        # Keys (exact distance rank, gallery index, 1 if relevant), sorted.
+        keys = (ranks * approx.size + np.concatenate([band, rel])) * 2
+        keys[band.size :] += 1
+        keys.sort()
+        is_rel = (keys & 1).astype(bool)
+        # Band entries ahead of each relevant entry, less those that closer
+        # already counted below its window.
+        pos += np.cumsum(~is_rel)[is_rel] - np.clip(closer - start, 0, band.size)
     return pos
+
+
+def _rank_queries(
+    shape: tuple,
+    approx_rows,
+    exact,
+    tau: float,
+    q_ids: np.ndarray,
+    g_ids: np.ndarray,
+    q_views: Optional[np.ndarray],
+    g_views: Optional[np.ndarray],
+    exclude_same_view: bool,
+    max_rank: int,
+) -> RetrievalReport:
+    """The ranking core of cmc_map and evaluate_sets.
+
+    approx_rows(rows) gives the distances of a slice of query rows to the
+    whole gallery, each within tau of the exact distance; exact(rows, cols)
+    gives the exact distances at those rows and gallery indices. The report
+    is the one cmc_map gives for the exact distance matrix of this shape.
+    """
+    q_ids = np.asarray(q_ids)
+    g_ids = np.asarray(g_ids)
+    nq, ng = shape
+    if q_ids.shape != (nq,) or g_ids.shape != (ng,):
+        raise ShapeError(
+            f"distance matrix {shape} does not match {q_ids.shape} query ids / {g_ids.shape} gallery ids"
+        )
+    if max_rank < 1:
+        raise ConfigError(f"max_rank must be >= 1, got {max_rank}")
+    if exclude_same_view:
+        if q_views is None or g_views is None:
+            raise ConfigError("exclude_same_view needs q_views and g_views")
+        q_views = np.asarray(q_views)
+        g_views = np.asarray(g_views)
+        if q_views.shape != (nq,) or g_views.shape != (ng,):
+            raise ShapeError(
+                f"distance matrix {shape} does not match {q_views.shape} query views / {g_views.shape} gallery views"
+            )
+    per_query_ap = np.full(nq, np.nan)
+    first_match_rank = np.zeros(nq, dtype=np.int64)  # 0 = skipped
+    num_skipped = 0
+    step = max(1, _RANK_BLOCK_CELLS // max(ng, 1))
+    for start in range(0, nq, step):
+        rows = slice(start, start + step)
+        same_id = g_ids[None, :] == q_ids[rows, None]
+        relevant = same_id
+        if exclude_same_view:
+            relevant = same_id & (g_views[None, :] != q_views[rows, None])
+        approx = approx_rows(rows)
+        # Each row's non-relevant kept distances, sorted; relevant and junk
+        # entries are pushed past every finite distance.
+        others = np.where(same_id, np.inf, approx)
+        others.sort(axis=1)
+        cols = np.flatnonzero(relevant.any(axis=0))
+        rel_exact = exact(rows, cols)
+        rel_in_cols = relevant[:, cols]
+        for b in range(others.shape[0]):
+            i = start + b
+            hit = _relevant_positions(
+                approx[b], others[b], ~same_id[b], cols[rel_in_cols[b]], rel_exact[b, rel_in_cols[b]], tau,
+                lambda band: exact(slice(i, i + 1), band)[0],
+            )
+            r = hit.size
+            if r == 0:
+                num_skipped += 1
+                continue
+            per_query_ap[i] = float(np.sum(np.arange(1, r + 1) / (hit + 1.0)) / r)
+            first_match_rank[i] = hit[0] + 1
+    scored = nq - num_skipped
+    if scored == 0:
+        raise DataError("every query was skipped (no relevant gallery entries)")
+    ranks = first_match_rank[(first_match_rank >= 1) & (first_match_rank <= max_rank)]
+    cmc = np.cumsum(np.bincount(ranks, minlength=max_rank + 1)) / scored
+    cmc[0] = 0.0
+    mean_ap = float(np.sum(per_query_ap[np.isfinite(per_query_ap)]) / scored)
+    return RetrievalReport(
+        map=mean_ap,
+        cmc=cmc,
+        rank1=float(cmc[1]),
+        per_query_ap=per_query_ap,
+        num_skipped_queries=num_skipped,
+    )
 
 
 def cmc_map(
@@ -167,60 +315,9 @@ def cmc_map(
     most _RANK_BLOCK_CELLS cells each.
     """
     d = as_matrix(d, "distance matrix")
-    q_ids = np.asarray(q_ids)
-    g_ids = np.asarray(g_ids)
-    nq, ng = d.shape
-    if q_ids.shape != (nq,) or g_ids.shape != (ng,):
-        raise ShapeError(
-            f"distance matrix {d.shape} does not match {q_ids.shape} query ids / {g_ids.shape} gallery ids"
-        )
-    if max_rank < 1:
-        raise ConfigError(f"max_rank must be >= 1, got {max_rank}")
-    if exclude_same_view:
-        if q_views is None or g_views is None:
-            raise ConfigError("exclude_same_view needs q_views and g_views")
-        q_views = np.asarray(q_views)
-        g_views = np.asarray(g_views)
-        if q_views.shape != (nq,) or g_views.shape != (ng,):
-            raise ShapeError(
-                f"distance matrix {d.shape} does not match {q_views.shape} query views / {g_views.shape} gallery views"
-            )
-    per_query_ap = np.full(nq, np.nan)
-    first_match_rank = np.zeros(nq, dtype=np.int64)  # 0 = skipped
-    num_skipped = 0
-    step = max(1, _RANK_BLOCK_CELLS // max(ng, 1))
-    for start in range(0, nq, step):
-        rows = slice(start, start + step)
-        same_id = g_ids[None, :] == q_ids[rows, None]
-        relevant = same_id
-        if exclude_same_view:
-            relevant = same_id & (g_views[None, :] != q_views[rows, None])
-        # Each row's non-relevant kept distances, sorted; relevant and junk
-        # entries are pushed past every finite distance.
-        others = np.where(same_id, np.inf, d[rows])
-        others.sort(axis=1)
-        for b in range(others.shape[0]):
-            i = start + b
-            hit = _relevant_positions(d[i], others[b], same_id[b], relevant[b])
-            r = hit.size
-            if r == 0:
-                num_skipped += 1
-                continue
-            per_query_ap[i] = float(np.sum(np.arange(1, r + 1) / (hit + 1.0)) / r)
-            first_match_rank[i] = hit[0] + 1
-    scored = nq - num_skipped
-    if scored == 0:
-        raise DataError("every query was skipped (no relevant gallery entries)")
-    ranks = first_match_rank[(first_match_rank >= 1) & (first_match_rank <= max_rank)]
-    cmc = np.cumsum(np.bincount(ranks, minlength=max_rank + 1)) / scored
-    cmc[0] = 0.0
-    mean_ap = float(np.sum(per_query_ap[np.isfinite(per_query_ap)]) / scored)
-    return RetrievalReport(
-        map=mean_ap,
-        cmc=cmc,
-        rank1=float(cmc[1]),
-        per_query_ap=per_query_ap,
-        num_skipped_queries=num_skipped,
+    return _rank_queries(
+        d.shape, lambda rows: d[rows], lambda rows, cols: d[rows, cols], 0.0,
+        q_ids, g_ids, q_views, g_views, exclude_same_view, max_rank,
     )
 
 
@@ -248,12 +345,33 @@ def evaluate_sets(
     exclude_same_view: bool = False,
     max_rank: int = 50,
 ) -> RetrievalReport:
+    """The report of cmc_map(cosine_distance(q, g), ...), byte for byte,
+    without forming the query x gallery distance matrix.
+
+    Each block of query rows is screened with np.dot distances of the unit
+    rows, which any BLAS computes within _screen_tolerance of
+    cosine_distance's. The relevant entries, and the non-relevant entries
+    within that tolerance of one, get their exact distances from
+    cosine_distance on just those rows and columns.
+    """
     q.validate()
     g.validate()
-    d = cosine_distance(q, g)
-    return cmc_map(
-        d, q.ids, g.ids, q.view_ids, g.view_ids,
-        exclude_same_view=exclude_same_view, max_rank=max_rank,
+    uq, ug = _unit_rows(q, g)
+    if uq.shape[0] and ug.shape[0] and not (np.all(np.isfinite(uq)) and np.all(np.isfinite(ug))):
+        # A NaN or inf feature makes every distance of its row NaN.
+        raise NumericError("distance matrix contains non-finite entries")
+
+    def approx_rows(rows: slice) -> Matrix:
+        a = np.dot(uq[rows], ug.T)
+        np.subtract(1.0, a, out=a)
+        return np.clip(a, 0.0, 2.0, out=a)
+
+    return _rank_queries(
+        (uq.shape[0], ug.shape[0]),
+        approx_rows,
+        lambda rows, cols: cosine_distance(q.features[rows], g.features[cols]),
+        _screen_tolerance(uq, ug),
+        q.ids, g.ids, q.view_ids, g.view_ids, exclude_same_view, max_rank,
     )
 
 

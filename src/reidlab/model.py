@@ -106,9 +106,12 @@ class ModelParams:
             raise ConfigError(
                 f"strategy {self.strategy.value} and fused head presence are inconsistent"
             )
-        for i, s in enumerate(self.streams):
-            if np.any(s.bn.running_var <= 0):
-                raise DataError(f"stream {i} has non-positive running variance")
+        heads = [(f"stream {i}", s) for i, s in enumerate(self.streams)]
+        if self.fused is not None:
+            heads.append(("fused head", self.fused))
+        for name, head in heads:
+            if np.any(head.bn.running_var <= 0):
+                raise DataError(f"{name} has non-positive running variance")
 
 
 def init_stream(

@@ -11,6 +11,7 @@ from reidlab import evalkit
 from reidlab.cli import apply_overrides, load_config, main, validate_config
 from reidlab.errors import ConfigError, NumericError
 from reidlab.fileio import read_dataset, write_embedding_file
+from reidlab.model import load_checkpoint, param_slots
 from reidlab.synthdata import SynthConfig, generate
 
 TINY_DATA = {
@@ -330,12 +331,17 @@ def _edit_manifest(edit):
     return rewrite
 
 
-def _eval_on_checkpoint_with_first_weight(value):
-    """argv evaluating a trained checkpoint whose first payload float was set to value."""
+def _eval_on_checkpoint_with(value, key="stream0.w0", strategy="unicat"):
+    """argv evaluating a trained checkpoint whose first payload float of
+    the array key was set to value."""
     def argv(tmp_path):
-        cfg, run = _trained_dir(tmp_path)
+        cfg, run = _trained_dir(tmp_path, strategy)
         blob = bytearray((run / "checkpoint.bin").read_bytes())
         start = 16 + int.from_bytes(blob[8:16], "little")
+        for slot_key, arr, _ in param_slots(load_checkpoint(run / "checkpoint.bin")):
+            if slot_key == key:
+                break
+            start += 8 * arr.size
         blob[start : start + 8] = np.array([value], dtype="<f8").tobytes()
         (run / "checkpoint.bin").write_bytes(bytes(blob))
         return ["eval", "-c", str(cfg), "--checkpoint", str(run / "checkpoint.bin"), "-o", str(tmp_path / "x")]
@@ -363,8 +369,10 @@ FILE_FAILURES = {
         _train_on_edited_manifest(_edit_manifest(lambda m: m.update(config_hash="0" * 64))), 3),
     "manifest config edited after writing": (
         _train_on_edited_manifest(_edit_manifest(lambda m: m["config"].update(seed=1))), 3),
-    "checkpoint weight is NaN": (_eval_on_checkpoint_with_first_weight(np.nan), 3),
-    "checkpoint weight is +inf": (_eval_on_checkpoint_with_first_weight(np.inf), 3),
+    "checkpoint weight is NaN": (_eval_on_checkpoint_with(np.nan), 3),
+    "checkpoint weight is +inf": (_eval_on_checkpoint_with(np.inf), 3),
+    "checkpoint fused running variance is -1": (
+        _eval_on_checkpoint_with(-1.0, "fused.running_var", "fusion-concat"), 3),
     "missing checkpoint": (lambda t: ["eval", "-c", str(_config(t, data=TINY_DATA)), "--checkpoint",
                                       str(t / "gone.bin"), "-o", str(t / "x")], 3),
     "missing external file": (lambda t: ["eval", "--external", str(t / "gone.uceb"),

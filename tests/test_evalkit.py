@@ -1,3 +1,4 @@
+import math
 import time
 import tracemalloc
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from reidlab import evalkit
-from reidlab.errors import ConfigError, DataError, ShapeError
+from reidlab.errors import ConfigError, DataError, NumericError, ShapeError
 from reidlab.evalkit import (
     ALL_STRATEGIES,
     SUITE_NAMES,
@@ -275,11 +276,16 @@ def test_cmc_map_memory_bounded_below_distance_matrix():
 
 
 def test_cmc_map_single_identity_not_slower_than_full_argsort():
-    # r = ng: every gallery entry is relevant to every query
     d, _, _ = _gallery_1000x4000(12)
-    ids_q, ids_g = np.zeros(1000, dtype=np.int64), np.zeros(4000, dtype=np.int64)
+    cases = [
+        # r = ng: every gallery entry is relevant to every query
+        (d, np.zeros(1000, dtype=np.int64), np.zeros(4000, dtype=np.int64)),
+        # two identities, distances rounded: every relevant entry ties
+        # exactly with about 20 non-relevant ones
+        (np.round(d, 2), np.repeat(np.arange(2), 500), np.repeat(np.arange(2), 2000)),
+    ]
 
-    def best_of(fn, repeats=2):
+    def best_of(fn, d, ids_q, ids_g, repeats=2):
         times = []
         for _ in range(repeats):
             t0 = time.perf_counter()
@@ -287,7 +293,180 @@ def test_cmc_map_single_identity_not_slower_than_full_argsort():
             times.append(time.perf_counter() - t0)
         return min(times)
 
-    assert best_of(cmc_map) <= 2.0 * best_of(argsort_cmc_map)
+    for case in cases:
+        assert best_of(cmc_map, *case) <= 2.0 * best_of(argsort_cmc_map, *case)
+
+
+# ------------------------------------------------ evaluate_sets screening
+
+def _report_bytes(run, q_ids):
+    """What the report run() returns writes (report_csv, CMC bytes, skipped
+    count), or the type and message of the error it raised."""
+    try:
+        rep = run()
+    except (ConfigError, DataError, NumericError) as exc:
+        return type(exc), str(exc)
+    return report_csv(rep, q_ids), rep.cmc.tobytes(), rep.num_skipped_queries
+
+
+def _exact_report_bytes(q, g, excl=False, max_rank=50):
+    """The bytes of the full exact distance matrix ranked by cmc_map."""
+    return _report_bytes(lambda: cmc_map(
+        cosine_distance(q, g), q.ids, g.ids, q.view_ids, g.view_ids, excl, max_rank), q.ids)
+
+
+def _screened_report_bytes(q, g, excl=False, max_rank=50):
+    return _report_bytes(lambda: evaluate_sets(q, g, excl, max_rank), q.ids)
+
+
+def _adversarial_sets(rng, case):
+    """Query and gallery sets whose rows copy, rescale or nudge by one ulp
+    earlier rows, so that distances tie or nearly tie across identities.
+    Returns (q, g, kinds of rows made)."""
+    dim = 1 if case % 10 == 0 else int(rng.integers(2, 9))
+    nq = 1 if case % 11 == 0 else int(rng.integers(1, 16))
+    ng = 1 if case % 13 == 0 else int(rng.integers(1, 40))
+    kinds = set()
+    f = rng.normal(size=(nq + ng, dim))
+    if case % 3 == 0:
+        f = np.round(f, int(rng.integers(0, 2)))
+        kinds.add("rounded")
+    for j in range(1, nq + ng):
+        src = f[rng.integers(0, j)]
+        kind = ("duplicate", "scaled", "ulp", "independent")[rng.integers(0, 4)]
+        if kind == "duplicate":
+            f[j] = src
+        elif kind == "scaled":
+            f[j] = src * rng.choice([2.0, 3.7, 1e-3])
+        elif kind == "ulp":
+            f[j] = src
+            t = rng.integers(0, dim)
+            f[j, t] = np.nextafter(src[t], rng.choice([-np.inf, np.inf]))
+        if kind != "independent":
+            kinds.add(kind)
+    f[np.all(f == 0, axis=1), 0] = 1.0
+    if case % 4 == 1:
+        for scale in (1e-160, 1e150):
+            rows = rng.uniform(size=nq + ng) < 0.3
+            f[rows] *= scale
+            kinds.add(f"scale {scale:g}")
+    f = f[rng.permutation(nq + ng)]
+    num_ids = int(rng.integers(1, 5))
+    ids = rng.integers(0, num_ids, size=nq + ng)
+    views = rng.integers(0, 3, size=nq + ng)
+    q = EmbeddingSet(f[:nq], ids[:nq], views[:nq], "query")
+    g = EmbeddingSet(f[nq:], ids[nq:], views[nq:], "gallery")
+    return q, g, kinds
+
+
+def test_evaluate_sets_bytes_equal_exact_matrix_ranking(monkeypatch):
+    # evaluate_sets calls cosine_distance once per query block (one block
+    # here) and once per query row that has entries in its band.
+    exact_calls = []
+    real_cosine_distance = evalkit.cosine_distance
+    monkeypatch.setattr(evalkit, "cosine_distance",
+                        lambda a, b: exact_calls.append(1) or real_cosine_distance(a, b))
+    rng = np.random.default_rng(31)
+    seen = dict.fromkeys(
+        ["duplicate", "scaled", "ulp", "rounded", "scale 1e-160", "scale 1e+150", "dim 1",
+         "single query", "single gallery", "excl", "skipped", "max_rank > ng", "band",
+         "reports"], 0)
+    for case in range(320):
+        q, g, kinds = _adversarial_sets(rng, case)
+        excl = bool(case % 2)
+        max_rank = int(rng.integers(1, g.ids.size + 5))
+        want = _exact_report_bytes(q, g, excl, max_rank)
+        exact_calls.clear()
+        assert _screened_report_bytes(q, g, excl, max_rank) == want, case
+        for kind in kinds:
+            seen[kind] += 1
+        seen["dim 1"] += int(q.features.shape[1] == 1)
+        seen["single query"] += int(q.ids.size == 1)
+        seen["single gallery"] += int(g.ids.size == 1)
+        seen["excl"] += int(excl)
+        seen["max_rank > ng"] += int(max_rank > g.ids.size)
+        seen["band"] += int(len(exact_calls) > 1)
+        if isinstance(want[0], str):
+            seen["reports"] += 1
+            seen["skipped"] += int(want[2] > 0)
+    assert all(count >= 3 for count in seen.values()), seen
+    assert seen["reports"] >= 200, seen
+
+
+def _at_most_tau_away(approx, exact, tau):
+    """approx, each entry moved toward exact by one ulp at a time until
+    |approx - exact| <= tau holds in exact arithmetic (math.fsum rounds
+    the three-term sum once, so its sign is exact)."""
+    out = approx.copy()
+    for idx, e in np.ndenumerate(exact):
+        a = out[idx]
+        while math.fsum([a, -e, -tau]) > 0 or math.fsum([e, -a, -tau]) > 0:
+            a = np.nextafter(a, e)
+        out[idx] = a
+    return out
+
+
+def test_ranking_core_exact_with_injected_error_up_to_tau():
+    rng = np.random.default_rng(17)
+    for case in range(80):
+        nq, ng = int(rng.integers(1, 12)), int(rng.integers(1, 40))
+        d = np.round(rng.uniform(0.0, 2.0, size=(nq, ng)), int(rng.integers(1, 3)))
+        tau = (2e-15, 1e-3, 0.02, 0.3)[case % 4]
+        if case % 8 < 4:  # exactly at the bound
+            err = tau * rng.choice([-1.0, 1.0], size=d.shape)
+        else:  # anywhere inside it
+            err = tau * rng.uniform(-1.0, 1.0, size=d.shape)
+        approx = _at_most_tau_away(d + err, d, tau)
+        q_ids, g_ids = rng.integers(0, 4, size=nq), rng.integers(0, 4, size=ng)
+        q_views, g_views = rng.integers(0, 3, size=nq), rng.integers(0, 3, size=ng)
+        excl = bool(case % 3 == 0)
+        max_rank = int(rng.integers(1, ng + 5))
+        want = _report_bytes(lambda: cmc_map(
+            d, q_ids, g_ids, q_views, g_views, excl, max_rank), q_ids)
+        got = _report_bytes(lambda: evalkit._rank_queries(
+            d.shape, lambda rows: approx[rows], lambda rows, cols: d[rows, cols], tau,
+            q_ids, g_ids, q_views, g_views, excl, max_rank), q_ids)
+        assert got == want, case
+
+
+def _gallery_sets_1000x4000(seed, dim=32):
+    rng = np.random.default_rng(seed)
+    centres = rng.normal(size=(500, dim))
+    ids = np.repeat(np.arange(500), 10)
+    f = centres[ids] + 0.7 * rng.normal(size=(ids.size, dim))
+    is_query = np.tile(np.arange(10) < 2, 500)
+    views = np.tile(np.arange(10), 500)
+    return (EmbeddingSet(f[is_query], ids[is_query], views[is_query], "query"),
+            EmbeddingSet(f[~is_query], ids[~is_query], views[~is_query], "gallery"))
+
+
+def test_evaluate_sets_memory_bounded_below_distance_matrix():
+    q, g = _gallery_sets_1000x4000(3)
+    matrix_bytes = 8 * q.ids.size * g.ids.size
+    tracemalloc.start()
+    try:
+        rep = evaluate_sets(q, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < matrix_bytes, (peak, matrix_bytes)
+    assert _report_bytes(lambda: rep, q.ids) == _exact_report_bytes(q, g)
+
+
+@pytest.mark.parametrize("side", ["query", "gallery"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, 0.0])
+def test_evaluate_sets_rejects_bad_features_as_exact_path(side, value):
+    q, g, _ = _adversarial_sets(np.random.default_rng(2), 7)
+    bad = q if side == "query" else g
+    if value == 0.0:
+        bad.features[-1] = 0.0
+        want = (DataError, f"{side} embeddings contain a zero-norm row; cosine undefined")
+    else:
+        bad.features[-1, 0] = value
+        want = (NumericError, "distance matrix contains non-finite entries")
+    with np.errstate(invalid="ignore"):
+        assert _exact_report_bytes(q, g) == want
+        assert _screened_report_bytes(q, g) == want
 
 
 # ------------------------------------------------------- model-based evals
