@@ -8,10 +8,15 @@ its seed on any machine and under any thread count.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
+import importlib.util
 import math
+import os
+import platform
+import tempfile
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -38,24 +43,15 @@ def as_matrix(a, name: str = "array", check_finite: bool = True) -> Matrix:
     return m
 
 
-# Cache blocking of matmul. An output block of at most _BLOCK_CELLS cells
-# (128 KiB) stays in L2 while all k products are added to it; the products
-# of as many k steps as fit are formed in one call into a scratch buffer of
-# at most _SCRATCH_CELLS cells (256 KiB). A block is always contiguous: it
-# is either whole rows or a piece of one row.
-_BLOCK_CELLS = 16384
-_SCRATCH_CELLS = 32768
-
-
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     """Matrix product with fixed left-to-right summation per output cell.
 
     out[i, j] accumulates a[i, 0]*b[0, j], then a[i, 1]*b[1, j], ... in
     that exact order, starting from +0.0, so the result is bit-identical
     to a naive triple loop and independent of BLAS backend or thread
-    count. The work is split into output blocks and chunks of k; each
-    chunk's products are formed in one call, then added to the block one
-    k step at a time.
+    count. The work is done by the kernel MATMUL_KERNEL names: the
+    compiled one when it could be built and passed its self-test, else
+    the numpy one; both give the same bits.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -63,11 +59,30 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
         raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
+    if a.size == 0 or b.size == 0:
+        return np.zeros((a.shape[0], b.shape[1]), dtype=np.float64)
+    return _kernel(a, b)
+
+
+# Cache blocking of the numpy kernel. An output block of at most
+# _BLOCK_CELLS cells (128 KiB) stays in L2 while all k products are added
+# to it; the products of as many k steps as fit are formed in one call
+# into a scratch buffer of at most _SCRATCH_CELLS cells (256 KiB). A block
+# is always contiguous: it is either whole rows or a piece of one row.
+_BLOCK_CELLS = 16384
+_SCRATCH_CELLS = 32768
+
+
+def _matmul_numpy(a: Matrix, b: Matrix) -> Matrix:
+    """matmul's kernel in numpy: the fallback and the reference.
+
+    Takes 2-D float64 operands with n, k, m >= 1. The work is split into
+    output blocks and chunks of k; each chunk's products are formed in
+    one call, then added to the block one k step at a time.
+    """
     n, k = a.shape
     m = b.shape[1]
     out = np.zeros((n, m), dtype=np.float64)
-    if n == 0 or m == 0 or k == 0:
-        return out
     a_t = np.ascontiguousarray(a.T)
     b = np.ascontiguousarray(b)
     cols = min(m, _BLOCK_CELLS)
@@ -90,6 +105,144 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
+# The compiled kernel does the numpy kernel's arithmetic in C (see the
+# source's header). It is built on first import into this module's
+# __pycache__ directory as _matmul-<key>-<digest>.so: the key hashes the
+# source, the flags and the machine, and the digest hashes the library's
+# own bytes, so a later import loads it only if it is whole.
+_KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_matmul.c")
+_CFLAGS = ("-std=c11", "-O3", "-ffp-contract=off", "-fPIC", "-shared")
+
+
+def _digest(*parts: bytes) -> str:
+    return hashlib.sha256(b"\0".join(parts)).hexdigest()[:16]
+
+
+def _cached_library(folder: str, stem: str) -> Optional[str]:
+    """A cached build whose bytes match the digest in its name, or None.
+
+    Checking the bytes first matters: loading a truncated library can
+    kill the process with SIGBUS instead of raising.
+    """
+    try:
+        names = sorted(os.listdir(folder))
+    except FileNotFoundError:
+        return None
+    for name in names:
+        if name.startswith(stem + "-") and name.endswith(".so"):
+            path = os.path.join(folder, name)
+            with open(path, "rb") as fh:
+                if _digest(fh.read()) == name[len(stem) + 1 : -3]:
+                    return path
+    return None
+
+
+def _compiler() -> Optional[list]:
+    """sysconfig's CC if it is on PATH, else cc, else None."""
+    import shlex
+    import shutil
+    import sysconfig
+
+    cc = shlex.split(sysconfig.get_config_var("CC") or "")
+    if cc and shutil.which(cc[0]):
+        return cc
+    found = shutil.which("cc")
+    return [found] if found else None
+
+
+def _build(source: bytes, folder: str, stem: str) -> str:
+    """Compile source into folder and return the library's path.
+
+    The library appears under its name only when complete (a temporary
+    file, then os.replace), so concurrent first imports are safe. Any
+    failure raises OSError.
+    """
+    import subprocess
+
+    cc = _compiler()
+    if cc is None:
+        raise OSError("no C compiler found")
+    os.makedirs(folder, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=stem + ".", dir=folder)
+    os.close(fd)
+    try:
+        subprocess.run([*cc, *_CFLAGS, "-o", tmp, "-x", "c", "-"], input=source,
+                       capture_output=True, check=True, timeout=300)
+        with open(tmp, "rb") as fh:
+            library = os.path.join(folder, f"{stem}-{_digest(fh.read())}.so")
+        os.replace(tmp, library)
+        return library
+    except subprocess.SubprocessError as exc:
+        raise OSError(f"compiling {_KERNEL_SOURCE} failed") from exc
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _load_compiled() -> Optional[Callable[[Matrix, Matrix], Matrix]]:
+    """The compiled kernel, built first if not cached; None if that fails."""
+    try:
+        with open(_KERNEL_SOURCE, "rb") as fh:
+            source = fh.read()
+        folder = os.path.dirname(importlib.util.cache_from_source(__file__))
+        stem = "_matmul-" + _digest(source, " ".join(_CFLAGS).encode(), platform.machine().encode())
+        library = _cached_library(folder, stem) or _build(source, folder, stem)
+        fn = ctypes.CDLL(library).reidlab_matmul
+    except (OSError, AttributeError, NotImplementedError):
+        return None
+    mat = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
+    out_mat = np.ctypeslib.ndpointer(np.float64, ndim=2, flags=("C_CONTIGUOUS", "WRITEABLE"))
+    fn.argtypes = [mat, mat, out_mat, ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.c_ssize_t]
+    fn.restype = None
+
+    def matmul_compiled(a: Matrix, b: Matrix) -> Matrix:
+        a = np.ascontiguousarray(a)
+        b = np.ascontiguousarray(b)
+        out = np.zeros((a.shape[0], b.shape[1]), dtype=np.float64)
+        fn(a, b, out, a.shape[0], a.shape[1], b.shape[1])
+        return out
+
+    return matmul_compiled
+
+
+def _agrees_with_numpy(kernel: Callable[[Matrix, Matrix], Matrix]) -> bool:
+    """Whether kernel gives the numpy kernel's bits on a small fixed case.
+
+    Square roots with mixed signs (full mantissas, no numpy.random import)
+    catch a fused multiply-add or another summation order; a column of
+    -0.0 products catches a sum not started at +0.0; tiny rows catch
+    flushed subnormals; ±inf and NaN must land in the same cells. NaN
+    payloads are not compared.
+    """
+    x = np.sqrt(np.arange(2.0, 2.0 + 7 * 24 + 24 * 9))
+    x[::3] *= -1.0
+    x[1::7] *= -1.0
+    a = x[: 7 * 24].reshape(7, 24)
+    b = x[7 * 24 :].reshape(24, 9)
+    b[:, 0] = np.abs(b[:, 0])
+    a[6] = -0.0
+    a[5] *= 1e-160
+    b[:, 1] *= 3e-160
+    a[4, 3], a[4, 8], b[5, 2], b[7, 3] = np.inf, np.nan, -np.inf, 5e-324
+    with np.errstate(all="ignore"):
+        got, want = kernel(a, b), _matmul_numpy(a, b)
+    nan = np.isnan(want)
+    return (got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+            and np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64)))
+
+
+def _select_kernel(compiled) -> tuple[str, Callable[[Matrix, Matrix], Matrix]]:
+    """("compiled", compiled) if it passes the self-test, else the numpy kernel."""
+    if compiled is not None and _agrees_with_numpy(compiled):
+        return "compiled", compiled
+    return "numpy", _matmul_numpy
+
+
+# The kernel matmul runs, chosen once at import. MATMUL_KERNEL ("compiled"
+# or "numpy") reports the choice; assigning to it changes nothing.
+MATMUL_KERNEL, _kernel = _select_kernel(_load_compiled())
+
+
 def _row_sqnorms(a: Matrix) -> np.ndarray:
     # Same left-to-right accumulation as matmul's k-loop, so that ||x||^2
     # equals the matmul-computed <x, x> bit for bit.
@@ -108,15 +261,20 @@ def pairwise_euclidean(a: Matrix, b: Matrix) -> Matrix:
     identical rows give exactly 0.0; tiny negative squared distances
     from rounding are clamped to 0 before the square root.
     """
+    same = b is a
     a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    b = a if same else np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"pairwise_euclidean needs 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[1]:
         raise ShapeError(f"pairwise_euclidean dimension mismatch: {a.shape} vs {b.shape}")
     g = matmul(a, b.T)
-    sq_a = _row_sqnorms(a)
-    sq_b = _row_sqnorms(b)
+    if same:
+        # The Gram diagonal is _row_sqnorms(a), product for product.
+        sq_a = sq_b = np.diagonal(g)
+    else:
+        sq_a = _row_sqnorms(a)
+        sq_b = _row_sqnorms(b)
     d2 = sq_a[:, None] + sq_b[None, :]
     d2 -= 2.0 * g
     np.maximum(d2, 0.0, out=d2)

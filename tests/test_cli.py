@@ -233,6 +233,11 @@ def test_trained_run_bytes_pinned(tmp_path, strategy):
     assert got == TRAINED_SHA256[strategy]
 
 
+@pytest.mark.parametrize("strategy", list(TRAINED_SHA256))
+def test_trained_run_bytes_pinned_under_each_matmul_kernel(tmp_path, strategy, matmul_kernel):
+    test_trained_run_bytes_pinned(tmp_path, strategy)
+
+
 # --------------------------------------------------------------- cmd_train
 
 def test_train_writes_run_record_and_reruns_identically(tmp_path):

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reidlab import numerics
 from reidlab.errors import NumericError, ShapeError
 from reidlab.numerics import (
     _BLOCK_CELLS,
@@ -15,6 +22,7 @@ from reidlab.numerics import (
     matmul,
     pairwise_euclidean,
 )
+from conftest import COMPILED_KERNEL
 from support import naive_matmul, naive_pairwise_euclidean
 
 
@@ -129,6 +137,169 @@ def test_matmul_bitwise_with_signed_zeros_and_special_values():
         _assert_bitwise(matmul(a, b), naive_matmul(a, b))
 
 
+# ------------------------------------------------------ the two kernels
+
+needs_compiled = pytest.mark.skipif(
+    COMPILED_KERNEL is None, reason="the compiled matmul kernel is not available here"
+)
+
+SPECIAL_VALUES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                           2.2e-308, 1e-160, 1.0, -3.5, 1e308])
+
+
+def _kernel_cases():
+    """(label, a, b) operand pairs, as matmul passes them to a kernel."""
+    rng = Rng(21)
+    for n in (4, 5, 6, 7, 1, 2, 3, 8, 13):  # n mod 4 = 0, 1, 2, 3
+        for k, m in ((1, 9), (17, 1), (1, 1), (33, 40)):
+            yield f"n{n} k{k} m{m}", rng.split(f"a{n},{k},{m}").normal(n, k), \
+                rng.split(f"b{n},{k},{m}").normal(k, m)
+    x = rng.split("x").normal(37, 21)
+    w = rng.split("w").normal(53, 21)
+    g = rng.split("g").normal(21, 37)
+    yield "w.T", x, w.T
+    yield "w[::2].T", g.T, w[::2].T
+    yield "copied transpose", x, np.ascontiguousarray(w.T)
+    yield "wide", rng.split("wa").normal(5, 3), rng.split("wb").normal(3, _BLOCK_CELLS + 7)
+    for trial in range(8):
+        r = rng.split(f"special{trial}")
+        n, k, m = (int(r.integers(1, 12)) for _ in range(3))
+        yield f"special{trial}", SPECIAL_VALUES[r.split("a").integers(0, 12, size=(n, k))], \
+            SPECIAL_VALUES[r.split("b").integers(0, 12, size=(k, m))]
+    yield "subnormal sums", np.full((6, 6), 1e-160), np.full((6, 3), 3e-160)
+    yield "-0.0 products", np.full((5, 4), -0.0), np.ones((4, 3))
+
+
+@needs_compiled
+@pytest.mark.parametrize("a, b", [pytest.param(a, b, id=label) for label, a, b in _kernel_cases()])
+def test_compiled_kernel_matches_numpy_kernel_and_triple_loop_bitwise(a, b):
+    with np.errstate(all="ignore"):
+        got = COMPILED_KERNEL(a, b)
+        _assert_bitwise(got, numerics._matmul_numpy(a, b))
+        if b.shape[1] < _BLOCK_CELLS:
+            _assert_bitwise(got, naive_matmul(a, b))
+
+
+def _reversed_order(a, b):
+    out = np.zeros((a.shape[0], b.shape[1]))
+    for t in reversed(range(a.shape[1])):
+        out += np.outer(a[:, t], b[t])
+    return out
+
+
+def _from_negative_zero(a, b):
+    out = np.full((a.shape[0], b.shape[1]), -0.0)
+    for t in range(a.shape[1]):
+        out += np.outer(a[:, t], b[t])
+    return out
+
+
+def _fused_multiply_add(a, b):
+    # out = fma(a[i,t], b[t,j], out) on finite values: one rounding per step.
+    out = numerics._matmul_numpy(a, b)
+    for i in range(a.shape[0]):
+        for j in range(b.shape[1]):
+            acc = 0.0
+            for t in range(a.shape[1]):
+                terms = (a[i, t], b[t, j], acc)
+                if not all(np.isfinite(terms)):
+                    break
+                acc = float(Fraction(terms[0]) * Fraction(terms[1]) + Fraction(terms[2]))
+            else:
+                out[i, j] = acc
+    return out
+
+
+def _flushing_subnormals(a, b):
+    out = numerics._matmul_numpy(a, b)
+    out[np.abs(out) < 2.2250738585072014e-308] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("stand_in", [
+    lambda a, b: np.dot(a, b), _reversed_order, _from_negative_zero, _fused_multiply_add,
+    _flushing_subnormals,
+], ids=["np.dot", "reversed", "from -0.0", "fma", "ftz"])
+def test_self_test_rejects_a_kernel_that_is_not_left_to_right(stand_in):
+    assert numerics._select_kernel(stand_in) == ("numpy", numerics._matmul_numpy)
+
+
+def test_self_test_accepts_the_triple_loop_and_the_compiled_kernel():
+    assert numerics._select_kernel(None) == ("numpy", numerics._matmul_numpy)
+    assert numerics._select_kernel(naive_matmul) == ("compiled", naive_matmul)
+    assert numerics.MATMUL_KERNEL in ("compiled", "numpy")
+    if COMPILED_KERNEL is not None:
+        assert numerics._select_kernel(COMPILED_KERNEL) == ("compiled", COMPILED_KERNEL)
+
+
+# A child interpreter that imports numerics with its cache under the given
+# PYTHONPYCACHEPREFIX, optionally with no compiler (nothing on PATH, and
+# shutil.which finds nothing) and no way to start a process, then prints
+# the kernel it chose and whether matmul gave the numpy kernel's bits.
+_CHILD = """
+import shutil, subprocess, sys
+if sys.argv[1] == "no-compiler":
+    shutil.which = lambda *args, **kwargs: None
+    def refuse(*args, **kwargs):
+        raise AssertionError("the import started a process")
+    subprocess.Popen = refuse
+import numpy as np
+from reidlab import numerics
+a = np.random.default_rng(1).standard_normal((9, 30))
+b = np.random.default_rng(2).standard_normal((30, 11))
+same = np.array_equal(numerics.matmul(a, b).view(np.uint64),
+                      numerics._matmul_numpy(a, b).view(np.uint64))
+print(numerics.MATMUL_KERNEL, same)
+"""
+
+
+def _import_in_child(cache: Path, mode: str) -> str:
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=str(cache))
+    env["PYTHONPATH"] = str(Path(numerics.__file__).parents[1])
+    if mode == "no-compiler":
+        empty = cache.parent / "empty-path"
+        empty.mkdir(exist_ok=True)
+        env["PATH"] = str(empty)
+    proc = subprocess.run([sys.executable, "-c", _CHILD, mode], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def _cached_libraries(cache: Path) -> list:
+    return sorted(cache.rglob("_matmul-*"))
+
+
+@needs_compiled
+def test_second_import_loads_the_cached_library_without_a_compiler(tmp_path):
+    cache = tmp_path / "pycache"
+    assert _import_in_child(cache, "with-compiler") == "compiled True"
+    built = _cached_libraries(cache)
+    assert len(built) == 1 and built[0].suffix == ".so"
+    assert _import_in_child(cache, "no-compiler") == "compiled True"
+    assert _cached_libraries(cache) == built
+
+
+def test_without_a_compiler_or_cache_the_numpy_kernel_runs(tmp_path):
+    cache = tmp_path / "pycache"
+    assert _import_in_child(cache, "no-compiler") == "numpy True"
+    assert _cached_libraries(cache) == []
+
+
+@needs_compiled
+@pytest.mark.parametrize("damage", ["truncated", "garbage"])
+def test_damaged_cached_library_is_rebuilt_or_ignored(tmp_path, damage):
+    cache = tmp_path / "pycache"
+    assert _import_in_child(cache, "with-compiler") == "compiled True"
+    (library,) = _cached_libraries(cache)
+    whole = library.read_bytes()
+    # Loading a library cut at half its size kills the process (SIGBUS).
+    library.write_bytes(whole[: len(whole) // 2] if damage == "truncated" else b"garbage\n" * 64)
+    assert _import_in_child(cache, "no-compiler") == "numpy True"
+    assert _import_in_child(cache, "with-compiler") == "compiled True"
+    assert all(path.suffix == ".so" for path in _cached_libraries(cache))
+
+
 def test_pairwise_euclidean_identical_rows_exact_zero_across_blocks():
     x = Rng(15).normal(2 * int(np.sqrt(_BLOCK_CELLS)) + 5, 40) * 2.3
     d = pairwise_euclidean(x, x)
@@ -154,6 +325,20 @@ def test_pairwise_euclidean_identical_rows_exact_zero():
     assert pairwise_euclidean(b, b)[0, 1] == 0.0
 
 
+def test_pairwise_euclidean_self_case_has_the_bytes_of_a_copy():
+    # pairwise_euclidean(z, z) takes the squared norms from the Gram
+    # diagonal; with a copy it sums them separately. The bits must agree.
+    rng = Rng(16)
+    for trial, scale in enumerate((1e-150, 1e-8, 1.0, 3.7, 1e8, 1e150)):
+        z = rng.split(f"z{trial}").normal(11, 9) * scale
+        if trial == 0:
+            z[3] = 5e-324 * np.arange(-4, 5)
+        want = pairwise_euclidean(z, z.copy())
+        assert pairwise_euclidean(z, z).tobytes() == want.tobytes()
+    empty = np.zeros((0, 3))
+    assert pairwise_euclidean(empty, empty).shape == (0, 0)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_pairwise_euclidean_property(seed):
@@ -164,6 +349,21 @@ def test_pairwise_euclidean_property(seed):
     assert np.all(d >= 0.0)
     np.testing.assert_allclose(d, naive_pairwise_euclidean(a, b), rtol=0, atol=1e-12)
     assert pairwise_euclidean(a, a.copy())[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("test", [
+    test_matmul_matches_triple_loop_bitwise,
+    test_matmul_identity_and_shapes,
+    test_matmul_property_bitwise_vs_oracle,
+    test_matmul_bitwise_across_row_blocks_column_blocks_and_k_chunks,
+    test_matmul_bitwise_degenerate_and_empty_shapes,
+    test_matmul_bitwise_with_transposed_and_strided_operands,
+    test_matmul_bitwise_with_signed_zeros_and_special_values,
+    test_pairwise_euclidean_identical_rows_exact_zero_across_blocks,
+    test_pairwise_euclidean_identical_rows_exact_zero,
+], ids=lambda test: test.__name__)
+def test_bitwise_matmul_tests_under_each_kernel(test, matmul_kernel):
+    test()
 
 
 def test_pairwise_shape_errors():
