@@ -179,27 +179,43 @@ def _build(source: bytes, folder: str, stem: str) -> str:
             os.unlink(tmp)
 
 
+def _library() -> str:
+    """The compiled kernel's library: the cached build, else a new one.
+
+    Raises OSError when it can be neither found nor built, and
+    NotImplementedError when the interpreter has no bytecode cache.
+    """
+    with open(_KERNEL_SOURCE, "rb") as fh:
+        source = fh.read()
+    folder = os.path.dirname(importlib.util.cache_from_source(__file__))
+    stem = "_matmul-" + _digest(source, " ".join(_CFLAGS).encode(), platform.machine().encode())
+    return _cached_library(folder, stem) or _build(source, folder, stem)
+
+
 def _load_compiled() -> Optional[Callable[[Matrix, Matrix], Matrix]]:
     """The compiled kernel, built first if not cached; None if that fails."""
     try:
-        with open(_KERNEL_SOURCE, "rb") as fh:
-            source = fh.read()
-        folder = os.path.dirname(importlib.util.cache_from_source(__file__))
-        stem = "_matmul-" + _digest(source, " ".join(_CFLAGS).encode(), platform.machine().encode())
-        library = _cached_library(folder, stem) or _build(source, folder, stem)
-        fn = ctypes.CDLL(library).reidlab_matmul
+        return _wrap_library(_library())
     except (OSError, AttributeError, NotImplementedError):
         return None
-    mat = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
-    out_mat = np.ctypeslib.ndpointer(np.float64, ndim=2, flags=("C_CONTIGUOUS", "WRITEABLE"))
-    fn.argtypes = [mat, mat, out_mat, ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.c_ssize_t]
+
+
+def _wrap_library(path: str) -> Callable[[Matrix, Matrix], Matrix]:
+    """A kernel for matmul that calls reidlab_matmul in the library at path."""
+    fn = ctypes.CDLL(path).reidlab_matmul
+    # Raw addresses: np.ctypeslib.ndpointer's checks would double the cost
+    # of a small call, and matmul_compiled makes every buffer it passes
+    # C-contiguous float64 itself, holding each in a local during the call.
+    fn.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_ssize_t] * 3
     fn.restype = None
 
     def matmul_compiled(a: Matrix, b: Matrix) -> Matrix:
-        a = np.ascontiguousarray(a)
-        b = np.ascontiguousarray(b)
-        out = np.zeros((a.shape[0], b.shape[1]), dtype=np.float64)
-        fn(a, b, out, a.shape[0], a.shape[1], b.shape[1])
+        a = np.ascontiguousarray(a, dtype=np.float64)
+        b = np.ascontiguousarray(b, dtype=np.float64)
+        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+            raise ShapeError(f"matmul kernel operands {a.shape} and {b.shape} do not chain")
+        out = np.empty((a.shape[0], b.shape[1]), dtype=np.float64)  # the kernel sets every cell
+        fn(a.ctypes.data, b.ctypes.data, out.ctypes.data, a.shape[0], a.shape[1], b.shape[1])
         return out
 
     return matmul_compiled
@@ -209,21 +225,24 @@ def _agrees_with_numpy(kernel: Callable[[Matrix, Matrix], Matrix]) -> bool:
     """Whether kernel gives the numpy kernel's bits on a small fixed case.
 
     Square roots with mixed signs (full mantissas, no numpy.random import)
-    catch a fused multiply-add or another summation order; a column of
-    -0.0 products catches a sum not started at +0.0; tiny rows catch
+    catch a fused multiply-add or another summation order; a cell of -0.0
+    products catches a sum not started at +0.0; a tiny row catches
     flushed subnormals; ±inf and NaN must land in the same cells. NaN
-    payloads are not compared.
+    payloads are not compared. At each of the compiled kernel's tile
+    widths (16, 8 or 4 columns) the 7 x 21 product covers its three
+    paths: the register tiles of rows 0-3, which hold every special case,
+    the columns right of the last whole tile, and rows 4-6.
     """
-    x = np.sqrt(np.arange(2.0, 2.0 + 7 * 24 + 24 * 9))
+    x = np.sqrt(np.arange(2.0, 2.0 + 7 * 24 + 24 * 21))
     x[::3] *= -1.0
     x[1::7] *= -1.0
     a = x[: 7 * 24].reshape(7, 24)
-    b = x[7 * 24 :].reshape(24, 9)
+    b = x[7 * 24 :].reshape(24, 21)
     b[:, 0] = np.abs(b[:, 0])
-    a[6] = -0.0
-    a[5] *= 1e-160
+    a[3] = -0.0
+    a[2] *= 1e-160
     b[:, 1] *= 3e-160
-    a[4, 3], a[4, 8], b[5, 2], b[7, 3] = np.inf, np.nan, -np.inf, 5e-324
+    b[5, 2], b[3, 5], b[8, 4], b[7, 3] = -np.inf, np.inf, np.nan, 5e-324
     with np.errstate(all="ignore"):
         got, want = kernel(a, b), _matmul_numpy(a, b)
     nan = np.isnan(want)

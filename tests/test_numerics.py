@@ -1,4 +1,7 @@
 import os
+import platform
+import re
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -68,12 +71,15 @@ def test_matmul_property_bitwise_vs_oracle(seed, n, k, m):
     assert np.array_equal(matmul(a, b), naive_matmul(a, b))
 
 
-def _assert_bitwise(got, want):
+def _same_bits(got, want) -> bool:
     """Same shape, NaN in the same cells, and the same bits everywhere else."""
-    assert got.shape == want.shape
     nan = np.isnan(want)
-    assert np.array_equal(np.isnan(got), nan)
-    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+    return (got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+            and np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64)))
+
+
+def _assert_bitwise(got, want):
+    assert _same_bits(got, want)
 
 
 def test_matmul_bitwise_across_row_blocks_column_blocks_and_k_chunks():
@@ -161,13 +167,30 @@ def _kernel_cases():
     yield "w[::2].T", g.T, w[::2].T
     yield "copied transpose", x, np.ascontiguousarray(w.T)
     yield "wide", rng.split("wa").normal(5, 3), rng.split("wb").normal(3, _BLOCK_CELLS + 7)
+    # The compiled kernel's register tiles (4 rows by 16, 8 or 4 columns)
+    # and the rows and columns left over: every m mod 16 (m < 16 and
+    # m > 16) with every n mod 4.
+    for n in (4, 5, 6, 7):
+        for m in range(1, 33):
+            yield f"n{n} k7 m{m}", rng.split(f"a{n},7,{m}").normal(n, 7), \
+                rng.split(f"b{n},7,{m}").normal(7, m)
+    for n, k, m in ((4, 1, 16), (7, 1, 37), (9, 2, 48)):
+        yield f"n{n} k{k} m{m}", rng.split(f"a{n},{k},{m}").normal(n, k), \
+            rng.split(f"b{n},{k},{m}").normal(k, m)
+    # shapes that training and evaluation multiply
+    for n, k, m in ((64, 128, 256), (256, 64, 128), (64, 256, 64), (768, 12, 128),
+                    (32, 48, 64), (3, 32, 15), (16, 96, 64)):
+        yield f"{n}x{k} {k}x{m}", rng.split(f"a{n},{k},{m}").normal(n, k), \
+            rng.split(f"b{n},{k},{m}").normal(k, m)
+    # Special values with at least 4 rows and 16 columns, so that some
+    # land in a register tile.
     for trial in range(8):
         r = rng.split(f"special{trial}")
-        n, k, m = (int(r.integers(1, 12)) for _ in range(3))
+        n, k, m = int(r.integers(4, 10)), int(r.integers(1, 12)), int(r.integers(16, 41))
         yield f"special{trial}", SPECIAL_VALUES[r.split("a").integers(0, 12, size=(n, k))], \
             SPECIAL_VALUES[r.split("b").integers(0, 12, size=(k, m))]
-    yield "subnormal sums", np.full((6, 6), 1e-160), np.full((6, 3), 3e-160)
-    yield "-0.0 products", np.full((5, 4), -0.0), np.ones((4, 3))
+    yield "subnormal sums", np.full((6, 6), 1e-160), np.full((6, 19), 3e-160)
+    yield "-0.0 products", np.full((5, 4), -0.0), np.ones((4, 17))
 
 
 @needs_compiled
@@ -176,8 +199,82 @@ def test_compiled_kernel_matches_numpy_kernel_and_triple_loop_bitwise(a, b):
     with np.errstate(all="ignore"):
         got = COMPILED_KERNEL(a, b)
         _assert_bitwise(got, numerics._matmul_numpy(a, b))
-        if b.shape[1] < _BLOCK_CELLS:
+        if a.size * b.shape[1] <= 100_000:  # the triple loop runs in Python
             _assert_bitwise(got, naive_matmul(a, b))
+
+
+def _operand_layouts():
+    """(label, a, b) pairs in the layouts callers may pass to matmul."""
+    rng = Rng(22)
+    x = rng.split("x").normal(9, 20)
+    w = rng.split("w").normal(40, 20)
+    g = rng.split("g").normal(24, 20)
+    read_only = x.copy()
+    read_only.flags.writeable = False
+    yield "int", np.arange(-30, 30).reshape(6, 10), np.arange(170).reshape(10, 17) % 7 - 3
+    yield "Fortran order", np.asfortranarray(x), np.asfortranarray(w.T)
+    yield "read-only", read_only, w.T.copy()
+    yield "strided", x[::2, ::2], w[::2, ::2].T
+    yield "transposed", w[:20].T, g.T
+
+
+@pytest.mark.parametrize("a, b", [pytest.param(a, b, id=label) for label, a, b in _operand_layouts()])
+def test_matmul_bitwise_for_every_operand_layout_under_each_kernel(a, b, matmul_kernel):
+    want = numerics._matmul_numpy(np.ascontiguousarray(a, dtype=np.float64),
+                                  np.ascontiguousarray(b, dtype=np.float64))
+    _assert_bitwise(matmul(a, b), want)
+    if matmul_kernel == "compiled":
+        # The kernel passes raw addresses, so it makes its own operands
+        # C-contiguous float64 and refuses shapes that do not chain.
+        _assert_bitwise(COMPILED_KERNEL(a, b), want)
+        with pytest.raises(ShapeError):
+            COMPILED_KERNEL(a, np.ones((b.shape[0] + 1, 3)))
+
+
+# Fused multiply-add and fused multiply-subtract mnemonics: x86-64 FMA3
+# (vfmadd231pd, vfnmsub213sd, ...) and AArch64 (fmla, fmadd, fnmsub, ...).
+_FUSED = re.compile(r"\b(vfn?m(add|sub)\w*|fml[as]|fn?m(add|sub))\b")
+
+
+@needs_compiled
+@pytest.mark.skipif(shutil.which("objdump") is None, reason="objdump is not on PATH")
+def test_no_instruction_set_path_of_the_compiled_kernel_fuses_multiply_and_add():
+    # The library holds one function per instruction set, but the
+    # self-test and the tests above run only the one this CPU dispatches to.
+    listing = subprocess.run(["objdump", "-d", "--no-show-raw-insn", numerics._library()],
+                             capture_output=True, text=True, check=True, timeout=60).stdout
+    assert "reidlab_matmul" in listing
+    fused = sorted({m.group(0) for m in _FUSED.finditer(listing)})
+    assert fused == [], f"fused multiply-add instructions in the kernel: {fused}"
+
+
+def _cpu_flags() -> set:
+    try:
+        lines = Path("/proc/cpuinfo").read_text().splitlines()
+    except OSError:
+        return set()
+    return {flag for line in lines if line.startswith("flags") for flag in line.split(":", 1)[1].split()}
+
+
+@needs_compiled
+@pytest.mark.skipif(platform.machine() != "x86_64", reason="only the base path exists off x86-64")
+@pytest.mark.parametrize("path, disabled", [("avx2", ["avx512f"]), ("base", ["avx512f", "avx2"])])
+def test_each_instruction_set_path_matches_the_numpy_kernel(path, disabled, tmp_path):
+    # The kernel dispatches to the widest path this CPU has; a copy of the
+    # source with the wider checks disabled runs a narrower one here.
+    if path == "avx2" and "avx2" not in _cpu_flags():
+        pytest.skip("this CPU has no AVX2")
+    source = Path(numerics._KERNEL_SOURCE).read_text()
+    for feature in disabled:
+        check = f'__builtin_cpu_supports("{feature}")'
+        assert check in source
+        source = source.replace(check, "0")
+    kernel = numerics._wrap_library(numerics._build(source.encode(), str(tmp_path), "_matmul"))
+    with np.errstate(all="ignore"):
+        assert numerics._agrees_with_numpy(kernel)
+        differ = [label for label, a, b in _kernel_cases()
+                  if not _same_bits(kernel(a, b), numerics._matmul_numpy(a, b))]
+    assert differ == []
 
 
 def _reversed_order(a, b):
