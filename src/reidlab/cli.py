@@ -17,7 +17,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import evalkit, fileio
 from .config import EvalOptions, config_dict, read_section, synth_config, train_config, validate_config
@@ -43,6 +42,8 @@ from .synthdata import SPLIT_GALLERY, MultimodalDataset, generate, split_query_g
 
 
 def load_config(path) -> dict:
+    import yaml  # here, not at the top: only YAML parsing needs it
+
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -59,6 +60,8 @@ def load_config(path) -> dict:
 
 def apply_overrides(cfg: dict, sets: list) -> dict:
     """--set a.b.c=value overrides, parsed as YAML scalars."""
+    import yaml  # here, not at the top: only YAML parsing needs it
+
     for item in sets or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key.path=value, got {item!r}")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .model import FUSED_SELECTOR, ModelParams, embed_dataset
-from .numerics import Matrix, Rng, as_matrix, matmul
+from .numerics import Matrix, Rng, as_matrix, matmul, sorted_unique
 from .objectives import Strategy
 from .pipeline import TrainConfig, RunRecord, train
 from .synthdata import (
@@ -155,59 +155,50 @@ def _screen_tolerance(uq: Matrix, ug: Matrix) -> float:
 _RANK_BLOCK_CELLS = 1 << 16
 
 
-def _relevant_positions(
+def _band_offsets(
     approx: np.ndarray,
-    others: np.ndarray,
     kept: np.ndarray,
     rel: np.ndarray,
     rel_dist: np.ndarray,
-    tau: float,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    closer: np.ndarray,
+    near: np.ndarray,
     exact_at,
 ) -> np.ndarray:
-    """0-based ranks, ascending, of one query's relevant gallery entries.
+    """What to add to the slot positions closer + arange(r) of one query's
+    relevant entries to get their ranks, for a query with a kept entry
+    inside some relevant entry's window.
 
     approx holds the query's distances, each within tau of the exact one;
-    others the kept non-relevant ones sorted ascending, then +inf for every
-    same-id entry; kept masks the kept non-relevant entries; rel holds the
-    relevant gallery indices, ascending, rel_dist their exact distances,
-    and exact_at(cols) gives the exact distances at gallery indices cols.
+    kept masks the kept non-relevant entries; rel holds the relevant
+    gallery indices, ascending, rel_dist their exact distances, and
+    exact_at(cols) gives the exact distances at gallery indices cols.
+    lower, upper, closer and near follow the relevant entries in ascending
+    exact distance: window edges, the kept entries below the window, and
+    whether a kept entry lies inside it.
 
-    The rank of a relevant entry at exact distance d counts the relevant
-    entries ahead of it in (distance, index) order and the kept
-    non-relevant entries closer than d or at d with a lower index. A kept
-    entry whose approx distance lies below d - tau is surely closer, and
-    one above d + tau surely farther. Only entries near some relevant
-    entry's window [d - tau, d + tau] get exact distances, and they are
-    ranked by one sort of (exact distance, gallery index) keys. With
-    tau = 0 and exact distances, a window holds the entries tied with its
-    relevant entry, so only rows with such a tie take that step.
+    Only entries near some relevant entry's window get exact distances,
+    and they are ranked by one sort of (exact distance, gallery index)
+    keys.
     """
-    dist = np.sort(rel_dist)
-    # A float below fl(d - tau) is below d - tau, and one above fl(d + tau)
-    # above d + tau, so rounding the window edges loses nothing.
-    lower, upper = dist - tau, dist + tau
-    closer = np.searchsorted(others, lower, "left")
-    pos = closer + np.arange(dist.size)
-    # others[closer] exists: it ends with an +inf per relevant entry.
-    occupied = np.flatnonzero(others[closer] <= upper)
-    if occupied.size:
-        # The band: every kept entry from the lowest occupied window to the
-        # highest. It spans the sorted slots start .. start + band.size - 1,
-        # and an entry outside it lies outside every occupied window, so
-        # its approx distance orders it against each relevant entry.
-        first, last = occupied[0], occupied[-1]
-        band = np.flatnonzero(kept & (approx >= lower[first]) & (approx <= upper[last]))
-        start = closer[first]
-        ranks = np.unique(np.concatenate([exact_at(band), rel_dist]), return_inverse=True)[1]
-        # Keys (exact distance rank, gallery index, 1 if relevant), sorted.
-        keys = (ranks * approx.size + np.concatenate([band, rel])) * 2
-        keys[band.size :] += 1
-        keys.sort()
-        is_rel = (keys & 1).astype(bool)
-        # Band entries ahead of each relevant entry, less those that closer
-        # already counted below its window.
-        pos += np.cumsum(~is_rel)[is_rel] - np.clip(closer - start, 0, band.size)
-    return pos
+    # The band: every kept entry from the lowest occupied window to the
+    # highest. It spans the sorted slots start .. start + band.size - 1, and
+    # an entry outside it lies outside every occupied window, so its approx
+    # distance orders it against each relevant entry.
+    occupied = np.flatnonzero(near)
+    first, last = occupied[0], occupied[-1]
+    band = np.flatnonzero(kept & (approx >= lower[first]) & (approx <= upper[last]))
+    start = closer[first]
+    ranks = np.unique(np.concatenate([exact_at(band), rel_dist]), return_inverse=True)[1]
+    # Keys (exact distance rank, gallery index, 1 if relevant), sorted.
+    keys = (ranks * approx.size + np.concatenate([band, rel])) * 2
+    keys[band.size :] += 1
+    keys.sort()
+    is_rel = (keys & 1).astype(bool)
+    # Band entries ahead of each relevant entry, less those that closer
+    # already counted below its window.
+    return np.cumsum(~is_rel)[is_rel] - np.clip(closer - start, 0, band.size)
 
 
 def _rank_queries(
@@ -228,6 +219,18 @@ def _rank_queries(
     whole gallery, each within tau of the exact distance; exact(rows, cols)
     gives the exact distances at those rows and gallery indices. The report
     is the one cmc_map gives for the exact distance matrix of this shape.
+
+    The rank of a relevant entry at exact distance d counts the relevant
+    entries ahead of it in (distance, index) order and the kept
+    non-relevant entries closer than d or at d with a lower index. A kept
+    entry whose approx distance lies below d - tau is surely closer, and
+    one above d + tau surely farther. So if no kept entry lies in any
+    relevant entry's window [d - tau, d + tau], the relevant entry in
+    slot s of its query's ascending exact distances has rank
+    closer + s, closer being the kept entries below its window. Rows are
+    ranked that way a block at a time; only a query with a kept entry
+    in some window goes through _band_offsets. With tau = 0 and exact
+    distances, a window holds the entries tied with its relevant entry.
     """
     q_ids = np.asarray(q_ids)
     g_ids = np.asarray(g_ids)
@@ -249,7 +252,6 @@ def _rank_queries(
             )
     per_query_ap = np.full(nq, np.nan)
     first_match_rank = np.zeros(nq, dtype=np.int64)  # 0 = skipped
-    num_skipped = 0
     step = max(1, _RANK_BLOCK_CELLS // max(ng, 1))
     for start in range(0, nq, step):
         rows = slice(start, start + step)
@@ -265,18 +267,40 @@ def _rank_queries(
         cols = np.flatnonzero(relevant.any(axis=0))
         rel_exact = exact(rows, cols)
         rel_in_cols = relevant[:, cols]
-        for b in range(others.shape[0]):
-            i = start + b
-            hit = _relevant_positions(
-                approx[b], others[b], ~same_id[b], cols[rel_in_cols[b]], rel_exact[b, rel_in_cols[b]], tau,
+        count = np.count_nonzero(rel_in_cols, axis=1)
+        # Each row's relevant exact distances, ascending, in its first
+        # count slots; the slots after them hold +inf and are masked out.
+        dist = np.where(rel_in_cols, rel_exact, np.inf)
+        dist.sort(axis=1)
+        dist = dist[:, : count.max(initial=0)]
+        slot = np.arange(dist.shape[1])
+        valid = slot < count[:, None]
+        # A float below fl(d - tau) is below d - tau, and one above
+        # fl(d + tau) above d + tau, so rounding the window edges loses
+        # nothing.
+        lower, upper = dist - tau, dist + tau
+        closer = np.array([o.searchsorted(lo, "left") for o, lo in zip(others, lower)])
+        pos = closer + slot
+        # At a valid slot others[closer] exists: others ends with an +inf
+        # per same-id entry, and the row has one.
+        near = valid & (np.take_along_axis(others, np.minimum(closer, ng - 1), axis=1) <= upper)
+        for b in np.flatnonzero(near.any(axis=1)):
+            i, r, mask = start + b, count[b], rel_in_cols[b]
+            pos[b, :r] += _band_offsets(
+                approx[b], ~same_id[b], cols[mask], rel_exact[b, mask],
+                lower[b, :r], upper[b, :r], closer[b, :r], near[b, :r],
                 lambda band: exact(slice(i, i + 1), band)[0],
             )
-            r = hit.size
-            if r == 0:
-                num_skipped += 1
-                continue
-            per_query_ap[i] = float(np.sum(np.arange(1, r + 1) / (hit + 1.0)) / r)
-            first_match_rank[i] = hit[0] + 1
+        # AP is the mean over the r relevant entries of k / (rank_k + 1).
+        # Each row's sum runs over exactly its r terms, the same pairwise
+        # sum as for that row alone, so rows are taken in groups of one r.
+        # The block slices are views: writes land in the full arrays.
+        block_ap, block_first = per_query_ap[rows], first_match_rank[rows]
+        for r in np.flatnonzero(np.bincount(count)[1:]) + 1:
+            of_r = count == r
+            block_ap[of_r] = np.sum(np.arange(1, r + 1) / (pos[of_r, :r] + 1.0), axis=1) / r
+            block_first[of_r] = pos[of_r, 0] + 1
+    num_skipped = int(np.count_nonzero(first_match_rank == 0))
     scored = nq - num_skipped
     if scored == 0:
         raise DataError("every query was skipped (no relevant gallery entries)")
@@ -406,7 +430,7 @@ def trainset_view(ds: MultimodalDataset, views_as_query: Optional[int] = None, s
         raise DataError("dataset has no training rows")
     sub_ids = ds.ids[rows]
     if views_as_query is None:
-        counts = np.bincount(np.searchsorted(np.unique(sub_ids), sub_ids))
+        counts = np.bincount(np.searchsorted(sorted_unique(sub_ids), sub_ids))
         views_as_query = max(1, int(counts.min()) // 4)
     sub = MultimodalDataset(
         features=[f[rows] for f in ds.features],

@@ -217,9 +217,11 @@ def _bn_forward(
         n = z.shape[0]
         if n < 2:
             raise DataError(f"batch statistics need >= 2 rows in train mode, got {n}")
-        mu = z.mean(axis=0)
+        # np.add.reduce(x, axis=0) / n is np.mean's arithmetic, bit for bit,
+        # without its Python wrapper: BN runs in every step.
+        mu = np.add.reduce(z, axis=0) / n
         centered = z - mu
-        var_b = np.mean(centered * centered, axis=0)
+        var_b = np.add.reduce(centered * centered, axis=0) / n
         inv_std = 1.0 / np.sqrt(var_b + bn.eps)
         z_hat = centered * inv_std
         if update_running:

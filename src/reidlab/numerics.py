@@ -1,4 +1,5 @@
-"""Dense float64 matrix primitives, seeded randomness, gradient checking.
+"""Dense float64 matrix primitives, label grouping, seeded randomness,
+gradient checking.
 
 Everything here is deliberately boring: 64-bit floats, a fixed summation
 order in every reduction, and one documented PRNG family (PCG64 keyed by
@@ -38,7 +39,7 @@ def as_matrix(a, name: str = "array", check_finite: bool = True) -> Matrix:
     m = np.ascontiguousarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got shape {m.shape}")
-    if check_finite and not np.all(np.isfinite(m)):
+    if check_finite and not np.isfinite(m).all():
         raise NumericError(f"{name} contains non-finite entries")
     return m
 
@@ -298,6 +299,33 @@ def pairwise_euclidean(a: Matrix, b: Matrix) -> Matrix:
     d2 -= 2.0 * g
     np.maximum(d2, 0.0, out=d2)
     return np.sqrt(d2, out=d2)
+
+
+def _run_starts(s: np.ndarray) -> np.ndarray:
+    """Indices where a run of equal values of the sorted array s starts."""
+    keep = np.ones(s.size, dtype=bool)
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return np.flatnonzero(keep)
+
+
+def sorted_unique(labels) -> np.ndarray:
+    """np.unique(labels) for 1-D integer labels: the same values and dtype.
+
+    A flagless np.unique imports numpy.ma (numpy 2.x), which costs every
+    process that calls it about 16 ms; a sort and a neighbour test do not.
+    """
+    s = np.sort(np.asarray(labels))
+    return s[_run_starts(s)]
+
+
+def label_groups(labels) -> tuple[np.ndarray, list]:
+    """sorted_unique(labels) and, per label, its row indices ascending
+    (np.flatnonzero(labels == label)), from one stable argsort."""
+    labels = np.asarray(labels)
+    order = np.argsort(labels, kind="stable")
+    s = labels[order]
+    starts = _run_starts(s)
+    return s[starts], np.split(order, starts[1:]) if s.size else []
 
 
 def _derive_entropy(seed: int, path: tuple[str, ...]) -> int:

@@ -122,17 +122,23 @@ def triplet_loss(
     d_ap = d[anchors, pos_index]
     d_an = d[anchors, neg_index]
     x = d_ap - d_an + margin
-    loss = float(np.mean(np.logaddexp(0.0, x)))
+    loss = float(np.add.reduce(np.logaddexp(0.0, x)) / n)  # np.mean's bits
 
     w = _sigmoid(x) / n
     diff_p = z - z[pos_index]
     diff_n = z - z[neg_index]
     u_p = np.where(d_ap[:, None] > 0, diff_p / np.where(d_ap == 0, 1.0, d_ap)[:, None], 0.0)
     u_n = np.where(d_an[:, None] > 0, diff_n / np.where(d_an == 0, 1.0, d_an)[:, None], 0.0)
+    # Anchors are unique, so their terms need no scatter; += keeps a -0.0
+    # term from reaching the zeroed gradient as -0.0. The positive and
+    # negative terms go through np.add.at on the flat gradient at row-major
+    # indices: each cell gets its terms in anchor order, as the row-wise
+    # scatter adds them, and the 1-D scatter is faster.
     grad = np.zeros_like(z)
-    np.add.at(grad, anchors, w[:, None] * (u_p - u_n))
-    np.add.at(grad, pos_index, -w[:, None] * u_p)
-    np.add.at(grad, neg_index, w[:, None] * u_n)
+    grad += w[:, None] * (u_p - u_n)
+    flat, cols = grad.reshape(-1), np.arange(z.shape[1])
+    np.add.at(flat, (pos_index[:, None] * z.shape[1] + cols).ravel(), (-w[:, None] * u_p).ravel())
+    np.add.at(flat, (neg_index[:, None] * z.shape[1] + cols).ravel(), (w[:, None] * u_n).ravel())
     sel = TripletSelection(pos_index=pos_index, neg_index=neg_index, d_ap=d_ap, d_an=d_an)
     return loss, grad, sel
 
@@ -159,7 +165,7 @@ def cross_entropy(logits: Matrix, y: Sequence[int]) -> tuple[float, Matrix]:
     sum_exp = exp.sum(axis=1)
     rows = np.arange(n)
     # per-row loss = logsumexp(logits) - logits[y] = log(sum_exp) - shifted[y]
-    loss = float(np.mean(np.log(sum_exp) - shifted[rows, y]))
+    loss = float(np.add.reduce(np.log(sum_exp) - shifted[rows, y]) / n)  # np.mean's bits
     grad = exp / sum_exp[:, None]
     grad[rows, y] -= 1.0
     grad /= n

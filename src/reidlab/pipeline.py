@@ -31,7 +31,7 @@ from .model import (
     stream_backward,
     stream_forward,
 )
-from .numerics import Rng
+from .numerics import Rng, label_groups, sorted_unique
 from .objectives import LossConfig, combined_loss, fuse, inference_fusion_op, split_fusion_grad
 from .synthdata import SPLIT_GALLERY, SPLIT_TRAIN, MultimodalDataset, split_query_gallery
 
@@ -66,21 +66,21 @@ class RunRecord:
     config_hash: str
 
 
-def pk_sample(y: np.ndarray, p: int, k: int, rng: Rng) -> np.ndarray:
-    """Batch of P distinct identities x K samples each.
+def pk_sample(groups: tuple[np.ndarray, list], p: int, k: int, rng: Rng) -> np.ndarray:
+    """Batch of P distinct identities x K samples each, from the
+    label_groups(y) of the labels y (built once per run).
 
     Identities are drawn without replacement; within an identity,
     samples are drawn without replacement unless it has fewer than K
     samples, in which case replacement is allowed.
     """
-    y = np.asarray(y)
-    ids = np.unique(y)
+    ids, rows_of = groups
     if ids.size < p:
         raise DataError(f"PK sampling needs >= {p} distinct ids, got {ids.size}")
     chosen = rng.choice(ids, size=p, replace=False)
     parts = []
-    for identity in chosen:
-        rows = np.nonzero(y == identity)[0]
+    for at in np.searchsorted(ids, chosen):
+        rows = rows_of[at]
         parts.append(rng.choice(rows, size=k, replace=rows.size < k))
     return np.concatenate(parts).astype(np.int64)
 
@@ -119,7 +119,7 @@ def _train_arrays(ds: MultimodalDataset):
     if rows.size == 0:
         raise DataError("dataset has no training rows")
     y_raw = ds.ids[rows]
-    classes = np.unique(y_raw)
+    classes = sorted_unique(y_raw)
     y = np.searchsorted(classes, y_raw).astype(np.int64)
     xs = [np.ascontiguousarray(f[rows]) for f in ds.features]
     return xs, y, classes
@@ -191,6 +191,7 @@ def train(ds: MultimodalDataset, cfg: TrainConfig) -> RunRecord:
     trainables = iter_trainables(model)
     opt = OptState.for_params(trainables)
     sampler = root.split("batches")
+    groups = label_groups(y)
     batches_per_epoch = max(1, math.ceil(y.size / cfg.batch_size))
     epoch_losses = np.empty(cfg.epochs, dtype=np.float64)
     epoch_lrs = np.empty(cfg.epochs, dtype=np.float64)
@@ -199,7 +200,7 @@ def train(ds: MultimodalDataset, cfg: TrainConfig) -> RunRecord:
         lr = lr_at(epoch, cfg)
         batch_losses = np.empty(batches_per_epoch, dtype=np.float64)
         for b in range(batches_per_epoch):
-            idx = pk_sample(y, cfg.p, cfg.k, sampler)
+            idx = pk_sample(groups, cfg.p, cfg.k, sampler)
             loss, grads = batch_gradients(model, [x[idx] for x in xs], y[idx], cfg.loss)
             if not math.isfinite(loss):
                 raise NumericError(f"training loss diverged at epoch {epoch}, batch {b}")
@@ -228,7 +229,7 @@ def carve_validation(ds: MultimodalDataset, rng: Rng, id_fraction: float = 0.1) 
     rows = ds.train_rows
     if rows.size == 0:
         raise DataError("dataset has no training rows to carve validation from")
-    ids = np.unique(ds.ids[rows])
+    ids = sorted_unique(ds.ids[rows])
     n_val = max(2, int(round(id_fraction * ids.size)))
     if ids.size - n_val < 2:
         raise DataError(
@@ -247,7 +248,7 @@ def carve_validation(ds: MultimodalDataset, rng: Rng, id_fraction: float = 0.1) 
         split=split,
         modality_names=list(ds.modality_names),
     )
-    counts = np.bincount(np.searchsorted(np.unique(sub_ids[is_val]), sub_ids[is_val]))
+    counts = np.bincount(np.searchsorted(sorted_unique(sub_ids[is_val]), sub_ids[is_val]))
     views_as_query = max(1, int(counts.min()) // 4)
     return split_query_gallery(sub, views_as_query, rng.split("val-query-split"))
 

@@ -21,7 +21,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError, ShapeError
-from .numerics import Rng, matmul
+from .numerics import Rng, label_groups, matmul
 
 SPLIT_TRAIN = 0
 SPLIT_QUERY = 1
@@ -215,8 +215,8 @@ def split_query_gallery(ds: MultimodalDataset, views_as_query: int, rng: Rng) ->
         raise ConfigError(f"views_as_query must be >= 1, got {views_as_query}")
     split = ds.split.copy()
     test_rows = np.nonzero(split != SPLIT_TRAIN)[0]
-    for tid in np.unique(ds.ids[test_rows]):
-        rows = test_rows[ds.ids[test_rows] == tid]
+    for tid, at in zip(*label_groups(ds.ids[test_rows])):
+        rows = test_rows[at]
         if rows.size <= views_as_query:
             raise DataError(
                 f"identity {tid} has {rows.size} test views; needs > {views_as_query} "

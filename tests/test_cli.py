@@ -1,6 +1,9 @@
 import hashlib
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -595,3 +598,32 @@ def test_repro_rejects_nonpositive_jobs(tmp_path, capsys, jobs):
 def test_repro_rejects_unknown_suite(capsys):
     with pytest.raises(SystemExit):
         main(["repro", "nope", "-o", "/tmp/x"])
+
+
+# A child interpreter that runs the CLI with the given argv (none: it only
+# imports reidlab.cli) and prints which of the modules named below it
+# loaded.
+_IMPORTS_CHILD = """
+import sys
+import reidlab.cli
+if sys.argv[1:]:
+    assert reidlab.cli.main(sys.argv[1:]) == 0
+print(" ".join(m for m in ("numpy.ma", "yaml") if m in sys.modules))
+"""
+
+
+def _modules_loaded_by(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(evalkit.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _IMPORTS_CHILD, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()
+
+
+def test_repro_and_cli_import_load_neither_numpy_ma_nor_yaml(tmp_path):
+    # numpy.ma costs a process about 16 ms and yaml about 15 ms; repro
+    # parses no YAML, and nothing needs masked arrays.
+    argv = ["repro", "laziness-clean", "-o", str(tmp_path / "suite"), "--seeds", "1",
+            "--epochs", "1", "--jobs", "1"]
+    assert _modules_loaded_by(argv) == []
+    assert "yaml" not in _modules_loaded_by([])

@@ -252,6 +252,27 @@ def test_cmc_map_row_blocks_match_reference(monkeypatch):
         _assert_matches_argsort_reference(d, q_ids, g_ids, q_views, g_views, excl, 10)
 
 
+def test_cmc_map_one_block_mixes_counts_skips_and_band_rows(monkeypatch):
+    rng = np.random.default_rng(8)
+    # Gallery ids 0..3 hold 1, 3, 6 and 10 entries; id 9 has none.
+    g_ids = rng.permutation(np.repeat(np.arange(4), [1, 3, 6, 10]))
+    q_ids = np.array([0, 1, 2, 3, 9, 2, 0, 9, 3, 1, 3, 2])
+    nq, ng = q_ids.size, g_ids.size
+    g_views, q_views = rng.integers(0, 2, size=ng), rng.integers(0, 2, size=nq)
+    d = rng.uniform(size=(nq, ng))
+    d[::2] = np.round(d[::2], 1)  # every other row ties across ids
+    monkeypatch.setattr(evalkit, "_RANK_BLOCK_CELLS", nq * ng)  # one block
+    band_rows = []
+    real_band_offsets = evalkit._band_offsets
+    monkeypatch.setattr(evalkit, "_band_offsets",
+                        lambda *args: band_rows.append(1) or real_band_offsets(*args))
+    for excl in (False, True):
+        band_rows.clear()
+        rep = _assert_matches_argsort_reference(d, q_ids, g_ids, q_views, g_views, excl, 5)
+        assert rep.num_skipped_queries >= 2
+        assert 0 < len(band_rows) < nq - rep.num_skipped_queries
+
+
 def _gallery_1000x4000(seed):
     rng = np.random.default_rng(seed)
     d = rng.uniform(size=(1000, 4000))

@@ -11,6 +11,7 @@ from reidlab.objectives import (
     FusionOperator,
     LossConfig,
     Strategy,
+    _sigmoid,
     combined_loss,
     cross_entropy,
     default_normalize_first,
@@ -104,6 +105,39 @@ def test_triplet_selection_rotation_invariant(seed):
     assert np.array_equal(sel_a.pos_index, sel_b.pos_index)
     assert np.array_equal(sel_a.neg_index, sel_b.neg_index)
     assert abs(l_a - l_b) < 1e-9
+
+
+def _rowwise_triplet_grad(z, sel, margin):
+    """triplet_loss's gradient scattered by three row-wise np.add.at calls,
+    the literal form the flat scatter replaced."""
+    n = z.shape[0]
+    anchors = np.arange(n)
+    pos_index, neg_index, d_ap, d_an = sel.pos_index, sel.neg_index, sel.d_ap, sel.d_an
+    w = _sigmoid(d_ap - d_an + margin) / n
+    diff_p = z - z[pos_index]
+    diff_n = z - z[neg_index]
+    u_p = np.where(d_ap[:, None] > 0, diff_p / np.where(d_ap == 0, 1.0, d_ap)[:, None], 0.0)
+    u_n = np.where(d_an[:, None] > 0, diff_n / np.where(d_an == 0, 1.0, d_an)[:, None], 0.0)
+    grad = np.zeros_like(z)
+    np.add.at(grad, anchors, w[:, None] * (u_p - u_n))
+    np.add.at(grad, pos_index, -w[:, None] * u_p)
+    np.add.at(grad, neg_index, w[:, None] * u_n)
+    return grad
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(2, 5), st.integers(1, 8),
+       st.sampled_from(["normal", "coarse", "collapsed"]), st.floats(-1.0, 1.0))
+def test_triplet_grad_bytes_equal_rowwise_scatter(seed, p, k, dim, kind, margin):
+    r = Rng(seed).split("scatter")
+    y = r.split("y").permutation(np.repeat(np.arange(p), k))
+    z = r.split("z").normal(p * k, dim)
+    if kind == "coarse":  # few distinct points: ties, zero distances, shared choices
+        z = np.round(z)
+    elif kind == "collapsed":  # each class on one point (d_ap = 0), with signed zeros
+        z = np.round(r.split("c").normal(p, dim))[y]
+    loss, grad, sel = triplet_loss(z, y, margin)
+    assert grad.tobytes() == _rowwise_triplet_grad(z, sel, margin).tobytes()
 
 
 # ------------------------------------------------------- cross entropy

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from reidlab import pipeline
 from reidlab.errors import ConfigError, DataError, ShapeError
 from reidlab.model import head_forward, init_model, iter_trainables, stream_forward
-from reidlab.numerics import Rng
+from reidlab.numerics import Rng, label_groups
 from reidlab.objectives import LossConfig, Strategy, combined_loss, fuse, inference_fusion_op
 from reidlab.pipeline import (
     LR_MIN_RATIO,
@@ -22,7 +23,7 @@ from reidlab.pipeline import (
     sgd_step,
     train,
 )
-from reidlab.synthdata import SynthConfig, clean_preset, generate, select_modalities
+from reidlab.synthdata import MultimodalDataset, SynthConfig, clean_preset, generate, select_modalities
 
 
 def _tiny_ds(seed=0, m=2, ids_train=6, ids_test=4, views=4, sigma=0.2, jitter=0.1):
@@ -44,7 +45,7 @@ def _tiny_cfg(strategy=Strategy.UNICAT, **kw):
 
 def test_pk_sample_forced_batch():
     y = np.array([0, 0, 1, 1])
-    idx = pk_sample(y, p=2, k=2, rng=Rng(0))
+    idx = pk_sample(label_groups(y), p=2, k=2, rng=Rng(0))
     assert sorted(idx.tolist()) == [0, 1, 2, 3]
 
 
@@ -52,7 +53,7 @@ def test_pk_sample_counts_and_replacement_rule():
     y = np.repeat(np.arange(8), 5)
     rng = Rng(1)
     for _ in range(20):
-        idx = pk_sample(y, p=4, k=3, rng=rng)
+        idx = pk_sample(label_groups(y), p=4, k=3, rng=rng)
         assert idx.shape == (12,)
         labels = y[idx]
         uniq, counts = np.unique(labels, return_counts=True)
@@ -68,7 +69,7 @@ def test_pk_sample_replacement_only_when_id_is_short():
     y = np.array([0, 0, 1, 1, 1, 1, 2, 2, 2, 2])
     rng = Rng(2)
     for _ in range(10):
-        idx = pk_sample(y, p=3, k=3, rng=rng)
+        idx = pk_sample(label_groups(y), p=3, k=3, rng=rng)
         labels = y[idx]
         rows0 = idx[labels == 0]
         assert rows0.size == 3 and np.unique(rows0).size <= 2  # forced repeat
@@ -79,11 +80,11 @@ def test_pk_sample_replacement_only_when_id_is_short():
 
 def test_pk_sample_deterministic_and_errors():
     y = np.repeat(np.arange(5), 3)
-    a = [pk_sample(y, 3, 2, Rng(7).split("b")) for _ in range(1)]
-    b = [pk_sample(y, 3, 2, Rng(7).split("b")) for _ in range(1)]
+    a = [pk_sample(label_groups(y), 3, 2, Rng(7).split("b")) for _ in range(1)]
+    b = [pk_sample(label_groups(y), 3, 2, Rng(7).split("b")) for _ in range(1)]
     assert np.array_equal(a[0], b[0])
     with pytest.raises(DataError):
-        pk_sample(y, p=6, k=2, rng=Rng(0))
+        pk_sample(label_groups(y), p=6, k=2, rng=Rng(0))
 
 
 def test_every_batch_triplet_feasible():
@@ -91,7 +92,7 @@ def test_every_batch_triplet_feasible():
     y = np.repeat(np.arange(6), 4)
     rng = Rng(3)
     for _ in range(50):
-        labels = y[pk_sample(y, p=3, k=2, rng=rng)]
+        labels = y[pk_sample(label_groups(y), p=3, k=2, rng=rng)]
         for a in range(labels.size):
             same = labels == labels[a]
             assert same.sum() >= 2
@@ -221,6 +222,44 @@ def test_train_records_schedule_and_validates_p():
     assert np.array_equal(rec.epoch_lrs, [lr_at(e, cfg) for e in range(4)])
     with pytest.raises(DataError):
         train(ds, _tiny_cfg(p=8))  # only 6 train ids
+
+
+def _pk_sample_per_step(y, p, k, rng):
+    """pk_sample as a literal per-step scan: np.unique and one y == id
+    comparison per chosen identity, on every call."""
+    ids = np.unique(y)
+    chosen = rng.choice(ids, size=p, replace=False)
+    parts = []
+    for identity in chosen:
+        rows = np.nonzero(y == identity)[0]
+        parts.append(rng.choice(rows, size=k, replace=rows.size < k))
+    return np.concatenate(parts).astype(np.int64)
+
+
+def test_train_batches_equal_per_step_pk_sample(monkeypatch):
+    ds = _tiny_ds(ids_train=7)
+    # Train ids keep 4, 3, 2 or 1 of their rows: with K = 3 some draws
+    # need replacement and some do not.
+    keep = np.ones(ds.num_samples, dtype=bool)
+    train_rows = ds.train_rows
+    for tid in np.unique(ds.ids[train_rows]):
+        keep[train_rows[ds.ids[train_rows] == tid][: tid % 4]] = False
+    ds = MultimodalDataset(
+        features=[f[keep] for f in ds.features], ids=ds.ids[keep], view_ids=ds.view_ids[keep],
+        split=ds.split[keep], modality_names=ds.modality_names,
+    )
+    cfg = _tiny_cfg(k=3, epochs=5)
+    batches = []
+    real_pk_sample = pipeline.pk_sample
+    monkeypatch.setattr(pipeline, "pk_sample",
+                        lambda *args: batches.append(real_pk_sample(*args)) or batches[-1])
+    train(ds, cfg)
+    y_raw = ds.ids[ds.train_rows]
+    y = np.searchsorted(np.unique(y_raw), y_raw)
+    assert len(batches) == cfg.epochs * math.ceil(y.size / cfg.batch_size)
+    sampler = Rng(cfg.seed).split("batches")
+    for got in batches:
+        assert got.tobytes() == _pk_sample_per_step(y, cfg.p, cfg.k, sampler).tobytes()
 
 
 def test_unicat_streams_match_solo_training_bitwise():

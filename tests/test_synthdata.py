@@ -162,6 +162,27 @@ def test_split_query_gallery_counts_and_seeding():
         split_query_gallery(ds, views_as_query=0, rng=Rng(0))
 
 
+def test_split_query_gallery_equals_per_identity_scan():
+    # Test rows of unequal identities, interleaved and out of id order,
+    # among train rows: each identity's rows are found by one scan.
+    rng = np.random.default_rng(4)
+    ids = rng.permutation(np.repeat(np.array([7, 2, 9, 4, 5]), [3, 6, 2, 5, 4]))
+    split = np.where(rng.uniform(size=ids.size) < 0.25, SPLIT_TRAIN, SPLIT_GALLERY).astype(np.int8)
+    split[ids == 9] = SPLIT_GALLERY
+    ds = MultimodalDataset(features=[np.zeros((ids.size, 1))], ids=ids,
+                           view_ids=np.arange(ids.size), split=split, modality_names=["m"])
+    want = split.copy()
+    scan_rng = Rng(3).split("q")
+    test_rows = np.nonzero(split != SPLIT_TRAIN)[0]
+    for tid in np.unique(ids[test_rows]):
+        rows = test_rows[ids[test_rows] == tid]
+        perm = scan_rng.permutation(rows.size)
+        want[rows[perm[:1]]] = SPLIT_QUERY
+        want[rows[perm[1:]]] = SPLIT_GALLERY
+    got = split_query_gallery(ds, 1, Rng(3).split("q")).split
+    assert got.tobytes() == want.tobytes()
+
+
 def test_select_modalities():
     ds = generate(_cfg(num_modalities=3))
     sub = select_modalities(ds, [2, 0])
