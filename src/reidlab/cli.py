@@ -28,7 +28,6 @@ from .evalkit import (
     report_csv,
     report_markdown,
     run_suite,
-    suite_epochs,
     suite_train_config,
     table_csv,
     table_markdown,
@@ -135,8 +134,8 @@ def cmd_train(args) -> int:
 
 
 def _write_report(out: Path, name: str, report, q_ids, header: str) -> None:
-    (out / f"report_{name}.csv").write_text(report_csv(report, q_ids), encoding="utf-8")
-    (out / f"report_{name}.md").write_text(report_markdown(report, header), encoding="utf-8")
+    fileio.write_text(out / f"report_{name}.csv", report_csv(report, q_ids))
+    fileio.write_text(out / f"report_{name}.md", report_markdown(report, header))
 
 
 def cmd_eval(args) -> int:
@@ -183,7 +182,7 @@ def cmd_eval(args) -> int:
             f"- {name}: mAP {100 * report.map:.2f}%, Rank-1 {100 * report.rank1:.2f}%"
             f" ({report.num_skipped_queries} skipped)"
         )
-    (out / "summary.md").write_text("\n".join(summary) + "\n", encoding="utf-8")
+    fileio.write_text(out / "summary.md", "\n".join(summary) + "\n")
     print(f"wrote {len(selectors)} report pair(s) to {out}")
     return 0
 
@@ -231,34 +230,33 @@ def _eval_external(args, cfg: dict, opts: EvalOptions, out: Path) -> int:
             f"- {name}: mAP {100 * report.map:.2f}%, Rank-1 {100 * report.rank1:.2f}%"
             f" ({report.num_skipped_queries} skipped)"
         )
-    (out / "summary.md").write_text("\n".join(summary) + "\n", encoding="utf-8")
+    fileio.write_text(out / "summary.md", "\n".join(summary) + "\n")
     print(f"wrote {len(evals)} report pair(s) to {out}")
     return 0
 
 
 def cmd_repro(args) -> int:
     seeds = list(range(args.seed_base, args.seed_base + args.seeds))
-    result = run_suite(args.suite, seeds, epochs=args.epochs, jobs=args.jobs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    epochs = suite_epochs(args.suite, args.epochs)
+    result = run_suite(args.suite, seeds, epochs=args.epochs, jobs=args.jobs)
     run_desc = {
         "suite": args.suite,
         "seeds": seeds,
-        "epochs": epochs,
-        "train_recipe": config_dict(suite_train_config(Strategy.UNICAT, seeds[0], epochs)),
+        "epochs": result.epochs,
+        "train_recipe": config_dict(suite_train_config(Strategy.UNICAT, seeds[0], result.epochs)),
     }
     run_desc["config_hash"] = config_hash(run_desc)
     fileio.dump_json(run_desc, out / "config.json")
     md = table_markdown(result.table) + f"\nconfig_hash: {run_desc['config_hash']}\n"
-    (out / "table.md").write_text(md, encoding="utf-8")
-    (out / "table.csv").write_text(table_csv(result.table), encoding="utf-8")
+    fileio.write_text(out / "table.md", md)
+    fileio.write_text(out / "table.csv", table_csv(result.table))
     raw_lines = ["seed,strategy,target,map,rank1"]
     for (seed, s, t), (m, r1) in result.raw.items():
         raw_lines.append(f"{seed},{s},{t},{m!r},{r1!r}")
-    (out / "raw.csv").write_text("\n".join(raw_lines) + "\n", encoding="utf-8")
+    fileio.write_text(out / "raw.csv", "\n".join(raw_lines) + "\n")
     claim_lines = [c.line() for c in result.claims]
-    (out / "claims.txt").write_text("\n".join(claim_lines) + "\n", encoding="utf-8")
+    fileio.write_text(out / "claims.txt", "\n".join(claim_lines) + "\n")
     for line in claim_lines:
         print(line)
     print(f"wrote suite outputs to {out}")

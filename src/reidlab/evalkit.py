@@ -9,15 +9,17 @@ counted, not errors.
 Suites train all three strategies over several seeds on committed
 presets and check the directional claims: per-stream laziness on clean
 data, weak-modality rescue under concat fusion, the independent-vs-joint
-ensemble direction, and train-vs-test laziness diagnostics.
+ensemble direction, and train-vs-test laziness diagnostics. Each suite
+is one SuiteSpec row of SUITES, and each claim a list of comparisons.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from .errors import ConfigError, DataError, NumericError, ShapeError
 from .model import FUSED_SELECTOR, ModelParams, embed_dataset
 from .numerics import Matrix, Rng, as_matrix, matmul, sorted_unique
 from .objectives import Strategy
-from .pipeline import TrainConfig, RunRecord, train
+from .pipeline import TrainConfig, train
 from .synthdata import (
     SPLIT_GALLERY,
     MultimodalDataset,
@@ -39,26 +41,7 @@ from .synthdata import (
     weak_link_preset,
 )
 
-SUITE_NAMES = ("laziness-clean", "weak-link", "ensemble", "train-vs-test")
-
-# Committed training length per suite. The ensemble suite separates
-# independent from joint members only deep into the overfitting regime,
-# so it trains longer than the laziness suites.
-SUITE_EPOCHS = {
-    "laziness-clean": 60,
-    "weak-link": 60,
-    "ensemble": 120,
-    "train-vs-test": 60,
-}
-
 ALL_STRATEGIES = (Strategy.UNICAT, Strategy.FUSION_AVG, Strategy.FUSION_CONCAT)
-
-
-def suite_epochs(suite: str, override: Optional[int] = None) -> int:
-    """The epoch count a suite runs at: its committed length unless overridden."""
-    if suite not in SUITE_EPOCHS:
-        raise ConfigError(f"unknown suite {suite!r}; expected one of: {', '.join(SUITE_NAMES)}")
-    return SUITE_EPOCHS[suite] if override is None else int(override)
 
 
 @dataclass
@@ -479,18 +462,10 @@ class ExperimentTable:
     cells: dict  # (strategy, target) -> TableCell
 
     def strategies(self) -> list:
-        seen = []
-        for s, _ in self.cells:
-            if s not in seen:
-                seen.append(s)
-        return seen
+        return list(dict.fromkeys(s for s, _ in self.cells))
 
     def targets(self) -> list:
-        seen = []
-        for _, t in self.cells:
-            if t not in seen:
-                seen.append(t)
-        return seen
+        return list(dict.fromkeys(t for _, t in self.cells))
 
 
 @dataclass(frozen=True)
@@ -528,6 +503,7 @@ def _claim(name: str, per_seed: Sequence[bool]) -> ClaimResult:
 class SuiteResult:
     suite: str
     seeds: tuple
+    epochs: int
     table: ExperimentTable
     claims: list
     # raw[(seed, strategy value, target)] = (mAP, rank1)
@@ -551,12 +527,78 @@ def suite_train_config(strategy: Strategy, seed: int, epochs: Optional[int] = No
     )
 
 
-def _suite_dataset(suite: str, seed: int) -> MultimodalDataset:
-    if suite == "weak-link":
-        return generate(weak_link_preset(seed))
-    if suite == "ensemble":
-        return replicate_modality(generate(ensemble_base_preset(seed)), 0, 2)
-    return generate(clean_preset(seed))
+# A claim target: the fused embedding, one stream by index, or each stream
+# in turn (the same stream on both sides of a comparison that names it twice).
+MULTIMODAL = "multimodal"
+EVERY_STREAM = "every stream"
+
+
+@dataclass(frozen=True)
+class Comparison:
+    """left op right on one seed's mAP, op ">" or ">="; each side is a
+    (strategy, target) scored on split."""
+
+    left: tuple
+    op: str
+    right: tuple
+    split: str = "test"
+
+
+_HOLDS = {">": operator.gt, ">=": operator.ge}
+
+
+@dataclass(frozen=True)
+class SuiteSpec:
+    """One packaged experiment. Each seed's dataset is
+    transform(generate(preset(seed))); every strategy trains on it for
+    `epochs` and is scored per stream and fused on the test split, and per
+    stream on the train split too with train_split. A claim holds on a seed
+    when all its comparisons do."""
+
+    preset: Callable[[int], SynthConfig]
+    epochs: int
+    claims: dict  # claim name -> tuple of Comparisons
+    transform: Callable[[MultimodalDataset], MultimodalDataset] = lambda ds: ds
+    train_split: bool = False
+
+    def target(self, name: str, split: str = "test") -> str:
+        """The raw and table name of a stream, or of MULTIMODAL, scored on split."""
+        return f"{name}/{split}" if self.train_split else name
+
+
+_UNI, _FAVG, _FCAT = ALL_STRATEGIES
+
+
+def _unicat_vs_fusions(op: str, target, split: str = "test") -> tuple:
+    return tuple(Comparison((_UNI, target), op, (fusion, target), split) for fusion in (_FAVG, _FCAT))
+
+
+SUITES = {
+    "laziness-clean": SuiteSpec(preset=clean_preset, epochs=60, claims={
+        "unicat-per-stream-test-map-beats-both-fusions": _unicat_vs_fusions(">", EVERY_STREAM),
+        "unicat-multimodal-beats-its-best-unimodal": (
+            Comparison((_UNI, MULTIMODAL), ">", (_UNI, EVERY_STREAM)),
+        ),
+    }),
+    "weak-link": SuiteSpec(preset=weak_link_preset, epochs=60, claims={
+        "fusion-concat-weak-stream-beats-unicat": (
+            Comparison((_FCAT, WEAK_STREAM), ">", (_UNI, WEAK_STREAM)),
+        ),
+    }),
+    # Independent members separate from joint ones only deep into the
+    # overfitting regime, so this suite trains longer than the others.
+    "ensemble": SuiteSpec(
+        preset=ensemble_base_preset,
+        transform=lambda ds: replicate_modality(ds, 0, 2),
+        epochs=120,
+        claims={"independent-ensemble-at-least-joint": _unicat_vs_fusions(">=", MULTIMODAL)},
+    ),
+    "train-vs-test": SuiteSpec(preset=clean_preset, epochs=60, train_split=True, claims={
+        "fusion-trainset-per-stream-map-below-unicat": _unicat_vs_fusions(">", EVERY_STREAM, "train"),
+        "unicat-per-stream-test-map-beats-both-fusions": _unicat_vs_fusions(">", EVERY_STREAM),
+    }),
+}
+SUITE_NAMES = tuple(SUITES)
 
 
 def _usable_cpus() -> int:
@@ -566,21 +608,19 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _suite_cell(suite: str, ds: MultimodalDataset, seed: int, strategy: Strategy, epochs: int) -> list:
-    """Train one (seed, strategy) cell; its [(target, (mAP, rank1)), ...] in target order."""
+def _suite_cell(spec: SuiteSpec, ds: MultimodalDataset, seed: int, strategy: Strategy, epochs: int) -> tuple:
+    """Train one (seed, strategy) cell: (stream names, [(target, (mAP, rank1)), ...] in target order)."""
     rec = train(ds, suite_train_config(strategy, seed, epochs))
     out = []
-    for i in range(ds.num_modalities):
+    for i, name in enumerate(ds.modality_names):
         rep = eval_unimodal(rec.model, ds, i)
-        if suite == "train-vs-test":
-            out.append((f"mod{i}/test", (rep.map, rep.rank1)))
+        out.append((spec.target(name), (rep.map, rep.rank1)))
+        if spec.train_split:
             rep = eval_trainset(rec.model, ds, i)
-            out.append((f"mod{i}/train", (rep.map, rep.rank1)))
-        else:
-            out.append((ds.modality_names[i], (rep.map, rep.rank1)))
+            out.append((spec.target(name, "train"), (rep.map, rep.rank1)))
     rep = eval_multimodal(rec.model, ds)
-    out.append(("multimodal/test" if suite == "train-vs-test" else "multimodal", (rep.map, rep.rank1)))
-    return out
+    out.append((spec.target(MULTIMODAL), (rep.map, rep.rank1)))
+    return tuple(ds.modality_names), out
 
 
 def _suite_share(suite: str, epochs: int, cells: list) -> tuple:
@@ -590,13 +630,14 @@ def _suite_share(suite: str, epochs: int, cells: list) -> tuple:
     the failed one). A seed's dataset is generated once for consecutive
     cells of that seed.
     """
+    spec = SUITES[suite]
     done = []
     ds_seed, ds = None, None
     for index, (seed, strategy) in cells:
         try:
             if seed != ds_seed:
-                ds_seed, ds = seed, _suite_dataset(suite, seed)
-            done.append(_suite_cell(suite, ds, seed, strategy, epochs))
+                ds_seed, ds = seed, spec.transform(generate(spec.preset(seed)))
+            done.append(_suite_cell(spec, ds, seed, strategy, epochs))
         except Exception as exc:
             return done, (index, exc)
     return done, None
@@ -617,14 +658,15 @@ def run_suite(
     the result does not depend on jobs. On failure, the error of the
     lowest-indexed failing cell is raised, as a sequential run would.
     """
-    if suite not in SUITE_NAMES:
+    spec = SUITES.get(suite)
+    if spec is None:
         raise ConfigError(f"unknown suite {suite!r}; expected one of: {', '.join(SUITE_NAMES)}")
     seeds = tuple(int(s) for s in seeds)
     if len(seeds) == 0:
         raise ConfigError("run_suite needs at least one seed")
     if jobs is not None and jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    epochs = suite_epochs(suite, epochs)
+    epochs = spec.epochs if epochs is None else int(epochs)
 
     cells = list(enumerate((seed, strategy) for seed in seeds for strategy in ALL_STRATEGIES))
     jobs = min(len(cells), _usable_cpus() if jobs is None else jobs)
@@ -650,7 +692,7 @@ def run_suite(
     for w, (done, _) in enumerate(shares):
         per_cell[w::jobs] = done
     raw = {}
-    for (_, (seed, strategy)), results in zip(cells, per_cell):
+    for (_, (seed, strategy)), (_, results) in zip(cells, per_cell):
         for t, value in results:
             raw[(seed, strategy.value, t)] = value
 
@@ -668,77 +710,29 @@ def run_suite(
                 rank1_std=float(r1s.std()),
             )
     table = ExperimentTable(suite=suite, num_seeds=len(seeds), cells=table_cells)
-    claims = _suite_claims(suite, seeds, raw, targets)
-    return SuiteResult(suite=suite, seeds=seeds, table=table, claims=claims, raw=raw)
+    streams = per_cell[0][0]  # the same in every cell
+    claims = _check_claims(spec, seeds, raw, streams)
+    return SuiteResult(suite=suite, seeds=seeds, epochs=epochs, table=table, claims=claims, raw=raw)
 
 
-def _suite_claims(suite: str, seeds: tuple, raw: dict, targets: list) -> list:
-    uni = Strategy.UNICAT.value
-    favg = Strategy.FUSION_AVG.value
-    fcat = Strategy.FUSION_CONCAT.value
+def _check_claims(spec: SuiteSpec, seeds: tuple, raw: dict, streams: Sequence[str]) -> list:
+    """Each claim of spec checked per seed on raw's mAPs; streams are the dataset's stream names."""
 
-    def m(seed, s, t):
-        return raw[(seed, s, t)][0]
+    def key(side: tuple, split: str, stream: Optional[str]) -> tuple:
+        strategy, target = side
+        name = stream if target == EVERY_STREAM else streams[target] if isinstance(target, int) else target
+        return strategy.value, spec.target(name, split)
 
     claims = []
-    if suite == "laziness-clean":
-        streams = [t for t in targets if t.startswith("mod")]
-        claims.append(_claim(
-            "unicat-per-stream-test-map-beats-both-fusions",
-            [
-                all(
-                    m(seed, uni, t) > m(seed, favg, t) and m(seed, uni, t) > m(seed, fcat, t)
-                    for t in streams
-                )
-                for seed in seeds
-            ],
-        ))
-        claims.append(_claim(
-            "unicat-multimodal-beats-its-best-unimodal",
-            [
-                m(seed, uni, "multimodal") > max(m(seed, uni, t) for t in streams)
-                for seed in seeds
-            ],
-        ))
-    elif suite == "weak-link":
-        weak = f"mod{WEAK_STREAM}"
-        claims.append(_claim(
-            "fusion-concat-weak-stream-beats-unicat",
-            [m(seed, fcat, weak) > m(seed, uni, weak) for seed in seeds],
-        ))
-    elif suite == "ensemble":
-        claims.append(_claim(
-            "independent-ensemble-at-least-joint",
-            [
-                m(seed, uni, "multimodal") >= m(seed, favg, "multimodal")
-                and m(seed, uni, "multimodal") >= m(seed, fcat, "multimodal")
-                for seed in seeds
-            ],
-        ))
-    else:  # train-vs-test
-        streams = sorted({t.split("/")[0] for t in targets if t.startswith("mod")})
-        claims.append(_claim(
-            "fusion-trainset-per-stream-map-below-unicat",
-            [
-                all(
-                    m(seed, favg, f"{t}/train") < m(seed, uni, f"{t}/train")
-                    and m(seed, fcat, f"{t}/train") < m(seed, uni, f"{t}/train")
-                    for t in streams
-                )
-                for seed in seeds
-            ],
-        ))
-        claims.append(_claim(
-            "unicat-per-stream-test-map-beats-both-fusions",
-            [
-                all(
-                    m(seed, uni, f"{t}/test") > m(seed, favg, f"{t}/test")
-                    and m(seed, uni, f"{t}/test") > m(seed, fcat, f"{t}/test")
-                    for t in streams
-                )
-                for seed in seeds
-            ],
-        ))
+    for name, comparisons in spec.claims.items():
+        checks = [
+            (_HOLDS[c.op], key(c.left, c.split, stream), key(c.right, c.split, stream))
+            for c in comparisons
+            for stream in (streams if EVERY_STREAM in (c.left[1], c.right[1]) else [None])
+        ]
+        claims.append(_claim(name, [
+            all(holds(raw[(seed, *a)][0], raw[(seed, *b)][0]) for holds, a, b in checks) for seed in seeds
+        ]))
     return claims
 
 

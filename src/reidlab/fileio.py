@@ -20,7 +20,10 @@ else round-trips exactly.
 from __future__ import annotations
 
 import json
+import os
 import struct
+import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -55,6 +58,39 @@ class EmbeddingRecord:
     view_ids: np.ndarray  # (n,) int64
 
 
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
+@contextmanager
+def atomic_write(path, mode: str = "w"):
+    """A file handle (text in UTF-8, or binary with mode "wb") whose bytes
+    appear at path only when the block exits without an error.
+
+    They go to a temporary file in path's directory, which then replaces
+    path (os.replace), so a reader sees the old file or the whole new one.
+    On an error the temporary file is removed and path is left as it was.
+    The new file gets the permissions open() would give it.
+    """
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+    try:
+        with open(fd, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            os.chmod(tmp, 0o666 & ~_umask())
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def write_text(path, text: str) -> None:
+    with atomic_write(path) as fh:
+        fh.write(text)
+
+
 def write_embedding_file(path, name: str, features, ids, view_ids) -> None:
     features = np.asarray(features, dtype=np.float64)
     ids = np.asarray(ids, dtype=np.int64)
@@ -75,7 +111,7 @@ def write_embedding_file(path, name: str, features, ids, view_ids) -> None:
     payload["id"] = ids.astype(np.uint64)
     payload["view"] = view_ids.astype(np.uint32)
     payload["feat"] = features.astype(np.float32)
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(EMBEDDING_MAGIC)
         fh.write(struct.pack("<I", EMBEDDING_VERSION))
         fh.write(struct.pack("<Q", n))
@@ -127,7 +163,7 @@ def read_embedding_file(path) -> EmbeddingRecord:
 
 
 def dump_json(obj, path: Path) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _manifest(ds: MultimodalDataset, files: list, cfg_dict: Optional[dict]) -> dict:
@@ -233,5 +269,5 @@ def write_run_record(rec: RunRecord, outdir, extra: Optional[dict] = None) -> No
     if extra:
         snapshot.update(extra)
     dump_json(snapshot, outdir / "config.json")
-    (outdir / "loss_curve.csv").write_text(loss_curve_csv(rec), encoding="utf-8")
+    write_text(outdir / "loss_curve.csv", loss_curve_csv(rec))
     save_checkpoint(rec.model, outdir / "checkpoint.bin")

@@ -455,9 +455,11 @@ def save_checkpoint(params: ModelParams, path) -> None:
     fused head (gamma, running stats, classifier) if present. Array order
     matches param_slots.
     """
+    from .fileio import atomic_write  # here, not at the top: fileio imports model via pipeline
+
     params.validate()
     header = json.dumps(_model_header(params), sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<Q", len(header)))

@@ -554,6 +554,49 @@ def test_repro_outputs_do_not_depend_on_jobs(tmp_path):
     assert all(o == outputs[0] for o in outputs[1:])
 
 
+# sha256 of every `repro` output file per suite at --seeds 2 --epochs 2
+# --jobs 1: target names and order, every trained and ranked mAP, the
+# claims' outcomes and the run description all go into them.
+REPRO_SHA256 = {
+    "laziness-clean": {
+        "claims.txt": "352258c741dfb9fcc259733fa35b8d820dfdd5313cc5649a1651a88dd27b0c75",
+        "config.json": "1ba04b751d26dd4b9cfe0d52d2e70807caa5e7f9b61e4b589e872387688170dd",
+        "raw.csv": "66f0c1514082c0caa8d05c8d7945163cc0c0ec64fa9210aa7a6d5188f75e5c52",
+        "table.csv": "dbeff58ec531946ad629aa3aa67991c60efc8b71454c97fa170a643947972183",
+        "table.md": "1afac0c93618c6e37a8237fdfb5cb9d3aecf52ab5a161b5ec6412edb1f266162",
+    },
+    "weak-link": {
+        "claims.txt": "d7f37dcb96a0bbedf4d4dd905a527b6c17709212446e440ca17f81f83a5170eb",
+        "config.json": "5f10e131c719d9d26e8bd60c52193059126003c978fefe916ca7e38337a871c5",
+        "raw.csv": "9110dc284ec38d33310dcf3bdc3ff622fe1a8e9459b92ad9168dda34f9184374",
+        "table.csv": "e4b2cf02d839a5ddac010afb6e18d928ac3fadce26270971fb628e3944a2dd5f",
+        "table.md": "769e2392ef0547469ae7d167e8776514c32dee777116c8baed93587b8b8afffc",
+    },
+    "ensemble": {
+        "claims.txt": "b74bcbb2f9ece019e7f790beaa4880ae410eee1e1ebf33a4a92e5fbe0ac97647",
+        "config.json": "6584fee53c3c77026a2bc335e892c699598e2259d8452d746eb79131dabb7bd4",
+        "raw.csv": "c75c0e28f6f261d8d2f09637649599fe89819601cde75c3184778b4e1b1ca5db",
+        "table.csv": "b9bc208c3d56df89e354b5871c48bcb5178b5018120f8a0aafb2f24e51aa3bd0",
+        "table.md": "34940a62eb55aec984c858f598e827d045e4a9a33afa66936fb98b387300d9fb",
+    },
+    "train-vs-test": {
+        "claims.txt": "2b76adbc19bcba2e9b3c4884dd44ab32e30d43e2e2f16c9e393a99a836f91007",
+        "config.json": "678be878248735c3d71b519fd7bc7acf0d9a3fed7ecf36700c960f002193a8a9",
+        "raw.csv": "d2ca54689e390cbe6fe7dffc59ebabb0998864f49554282d8e18d2b8eeda322a",
+        "table.csv": "a67dd142c682bb8b1b9effe10d8b21e876549151a7775a788b02a297d51fd149",
+        "table.md": "93d6fc17436e6275538fb19291926c28476543eb093951cb612bd0150384e74a",
+    },
+}
+
+
+@pytest.mark.parametrize("suite", list(REPRO_SHA256))
+def test_repro_bytes_pinned_for_every_suite(tmp_path, suite):
+    out = tmp_path / suite
+    assert main(["repro", suite, "-o", str(out), "--seeds", "2", "--epochs", "2", "--jobs", "1"]) == 0
+    got = {name: hashlib.sha256(data).hexdigest() for name, data in _dir_bytes(out).items()}
+    assert got == REPRO_SHA256[suite]
+
+
 @pytest.fixture
 def fork_start_method():
     if "fork" not in multiprocessing.get_all_start_methods():
@@ -586,6 +629,29 @@ def test_repro_failing_cell_error_does_not_depend_on_jobs(
         assert main(argv) == 4, jobs
         errs.append(capsys.readouterr().err)
     assert errs[0] == errs[1] == f"numeric error: cell {min(failing)} diverged\n"
+
+
+def test_repro_fails_fast_on_unwritable_out(tmp_path, monkeypatch, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    trained = []
+    monkeypatch.setattr(evalkit, "train", lambda *args: trained.append(args))
+    argv = ["repro", "ensemble", "-o", str(blocker / "out"), "--seeds", "1", "--jobs", "1"]
+    assert main(argv) == 3
+    assert "file error" in capsys.readouterr().err
+    assert trained == []
+
+
+def test_repro_failed_write_exits_3_and_leaves_no_file(tmp_path, monkeypatch, capsys):
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    out = tmp_path / "suite"
+    argv = ["repro", "ensemble", "-o", str(out), "--seeds", "1", "--epochs", "1", "--jobs", "1"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "file error: replace refused\n"
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])

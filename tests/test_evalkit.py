@@ -614,6 +614,100 @@ def test_run_suite_raw_does_not_depend_on_jobs():
     assert two.claims == one.claims
 
 
+UNI, FAVG, FCAT = (s.value for s in ALL_STRATEGIES)
+
+# Each suite's target names, in the order its cells emit them.
+SUITE_TARGETS = {
+    "laziness-clean": ("mod0", "mod1", "mod2", "multimodal"),
+    "weak-link": ("mod0", "mod1", "mod2", "multimodal"),
+    "ensemble": ("mod0.copy0", "mod0.copy1", "multimodal"),
+    "train-vs-test": ("mod0/test", "mod0/train", "mod1/test", "mod1/train",
+                      "mod2/test", "mod2/train", "multimodal/test"),
+}
+
+
+def _suite_raw(suite, maps, seeds=5, base=0.5):
+    """raw for a suite: every (seed, strategy, target) mAP is base, except
+    maps[(strategy, target)], a value or a list of one value per seed."""
+    raw = {}
+    for seed in range(seeds):
+        for s in (UNI, FAVG, FCAT):
+            for t in SUITE_TARGETS[suite]:
+                m = maps.get((s, t), base)
+                raw[(seed, s, t)] = (m[seed] if isinstance(m, list) else m, 0.25)
+    return raw
+
+
+def _claims_of(suite, raw):
+    seeds = tuple(dict.fromkeys(seed for seed, _, _ in raw))
+    streams = ("mod0.copy0", "mod0.copy1") if suite == "ensemble" else ("mod0", "mod1", "mod2")
+    return evalkit._check_claims(evalkit.SUITES[suite], seeds, raw, streams)
+
+
+def _per_stream_wins(suite, suffix=""):
+    """Unicat strictly above both fusions on every stream, every seed."""
+    return {(UNI, f"mod{i}{suffix}"): 0.6 for i in range(3)}
+
+
+def test_suite_claims_names_and_order():
+    names = {suite: [c.name for c in _claims_of(suite, _suite_raw(suite, {}))] for suite in SUITE_TARGETS}
+    assert names == {
+        "laziness-clean": ["unicat-per-stream-test-map-beats-both-fusions",
+                           "unicat-multimodal-beats-its-best-unimodal"],
+        "weak-link": ["fusion-concat-weak-stream-beats-unicat"],
+        "ensemble": ["independent-ensemble-at-least-joint"],
+        "train-vs-test": ["fusion-trainset-per-stream-map-below-unicat",
+                          "unicat-per-stream-test-map-beats-both-fusions"],
+    }
+
+
+def test_suite_claims_on_exact_ties():
+    # Every mAP equal: the ensemble's >= holds on every seed, every > claim on none.
+    for suite in SUITE_TARGETS:
+        for c in _claims_of(suite, _suite_raw(suite, {})):
+            assert c.successes == (5 if suite == "ensemble" else 0), (suite, c.name)
+    # One tie inside otherwise strict wins fails just its seed.
+    tie = [0.6, 0.6, 0.5, 0.6, 0.6]  # seed 2 ties the fusions' 0.5
+    maps = _per_stream_wins("laziness-clean") | {(UNI, "mod1"): tie}
+    lazy = _claims_of("laziness-clean", _suite_raw("laziness-clean", maps))
+    assert lazy[0].per_seed == (True, True, False, True, True)
+    for split in ("/train", "/test"):
+        maps = _per_stream_wins("train-vs-test", "/train") | _per_stream_wins("train-vs-test", "/test")
+        maps[(UNI, f"mod2{split}")] = tie
+        per_seed = [c.per_seed for c in _claims_of("train-vs-test", _suite_raw("train-vs-test", maps))]
+        want = [(True, True, False, True, True), (True,) * 5]
+        assert per_seed == (want if split == "/train" else want[::-1])
+    maps = {(UNI, "multimodal"): 0.6, (FAVG, "multimodal"): [0.6, 0.5, 0.5, 0.7, 0.5]}
+    assert _claims_of("ensemble", _suite_raw("ensemble", maps))[0].per_seed == (True, True, True, False, True)
+
+
+def test_weak_link_claim_reads_only_the_weak_stream():
+    others = ("mod0", "mod1", "multimodal")
+    wins = {(FCAT, "mod2"): 0.6} | {(UNI, t): 0.6 for t in others}
+    losses = {(UNI, "mod2"): 0.6} | {(FCAT, t): 0.6 for t in others}
+    assert _claims_of("weak-link", _suite_raw("weak-link", wins))[0].successes == 5
+    assert _claims_of("weak-link", _suite_raw("weak-link", losses))[0].successes == 0
+
+
+def test_multimodal_must_beat_every_stream_strictly():
+    maps = {(UNI, "multimodal"): 0.7, (UNI, "mod0"): 0.6, (UNI, "mod1"): 0.65}
+    assert _claims_of("laziness-clean", _suite_raw("laziness-clean", maps))[1].successes == 5
+    maps[(UNI, "mod2")] = 0.7  # one stream ties the fused embedding
+    assert _claims_of("laziness-clean", _suite_raw("laziness-clean", maps))[1].successes == 0
+
+
+def test_claim_passes_at_four_of_five_seeds_and_fails_at_three():
+    lines = []
+    for margins in ([1, 1, 1, 1, 0], [1, 0, 1, 0, 1]):
+        maps = {(FCAT, "mod2"): [0.5 + 0.1 * m for m in margins]}
+        (claim,) = _claims_of("weak-link", _suite_raw("weak-link", maps))
+        lines.append(claim.line())
+    assert lines == [
+        "PASS fusion-concat-weak-stream-beats-unicat (4/5 seeds, need >= 4)",
+        "FAIL fusion-concat-weak-stream-beats-unicat (3/5 seeds, need >= 4)",
+    ]
+
+
 def test_run_suite_validation():
     with pytest.raises(ConfigError):
         run_suite("nope", seeds=[0])

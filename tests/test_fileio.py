@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 import tempfile
 from pathlib import Path
@@ -12,12 +13,15 @@ from reidlab.config import config_dict as synth_config_dict
 from reidlab.errors import DataError, ShapeError
 from reidlab.fileio import (
     EMBEDDING_MAGIC,
+    atomic_write,
+    dump_json,
     loss_curve_csv,
     read_dataset,
     read_embedding_file,
     write_dataset,
     write_embedding_file,
     write_run_record,
+    write_text,
 )
 from reidlab.model import load_checkpoint, save_checkpoint
 from reidlab.objectives import Strategy
@@ -204,6 +208,67 @@ def test_loss_curve_csv_and_run_record(tmp_path):
             np.testing.assert_array_equal(wa, wb)
         np.testing.assert_array_equal(a.bn.running_mean, b.bn.running_mean)
     np.testing.assert_array_equal(model.fused.classifier, rec.model.fused.classifier)
+
+
+# ----------------------------------------------------------- atomic writes
+
+def _tiny_run(seed):
+    cfg = TrainConfig(strategy=Strategy.UNICAT, p=3, k=2, lr_base=0.05, momentum=0.9, epochs=1,
+                      warmup_epochs=0, hidden_dims=(4,), embed_dim=2, seed=seed)
+    return train(_DS, cfg)
+
+
+# Each writer, called as write(path, v): v = 0 and v = 1 write different bytes.
+_WRITERS = {
+    "embedding": lambda path, v: write_embedding_file(path, f"mod{v}", _DS.features[v], _DS.ids, _DS.view_ids),
+    "json": lambda path, v: dump_json({"v": v}, path),
+    "text": lambda path, v: write_text(path, f"v{v}\n"),
+    "checkpoint": lambda path, v: save_checkpoint(_tiny_run(v).model, path),
+    "run record": lambda path, v: write_run_record(_tiny_run(v), path.parent),
+}
+
+
+@pytest.mark.parametrize("writer", list(_WRITERS))
+def test_failed_replace_leaves_no_partial_file(tmp_path, monkeypatch, writer):
+    # A writer killed between its last byte and the rename: the target is
+    # absent or keeps its old bytes, and no temporary file is left.
+    write = _WRITERS[writer]
+    fresh, kept = tmp_path / "fresh", tmp_path / "kept"
+    fresh.mkdir()
+    kept.mkdir()
+    write(kept / "f", 0)
+    old = {p.name: p.read_bytes() for p in kept.iterdir()}
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    for target, v in ((fresh / "f", 0), (kept / "f", 1)):
+        with pytest.raises(OSError, match="replace refused"):
+            write(target, v)
+    monkeypatch.undo()
+    assert list(fresh.iterdir()) == []
+    assert {p.name: p.read_bytes() for p in kept.iterdir()} == old
+    write(kept / "f", 1)
+    new = {p.name: p.read_bytes() for p in kept.iterdir()}
+    assert new.keys() == old.keys() and new != old
+
+
+def test_atomic_write_error_mid_write_keeps_old_bytes(tmp_path):
+    path = tmp_path / "f.txt"
+    write_text(path, "old\n")
+    with pytest.raises(RuntimeError):
+        with atomic_write(path) as fh:
+            fh.write("half")
+            raise RuntimeError("killed")
+    assert path.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_atomic_write_gives_the_permissions_of_open(tmp_path):
+    write_text(tmp_path / "atomic", "x")
+    (tmp_path / "plain").write_text("x")
+    assert (tmp_path / "atomic").stat().st_mode == (tmp_path / "plain").stat().st_mode
 
 
 # ------------------------------------------------- fuzzed reader inputs
