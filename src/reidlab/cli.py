@@ -18,13 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evalkit, fileio
+from . import fileio
 from .config import EvalOptions, config_dict, read_section, synth_config, train_config, validate_config
 from .errors import ConfigError, DataError, NumericError
 from .evalkit import (
-    EmbeddingSet,
     SUITE_NAMES,
-    evaluate_sets,
+    evaluate,
     report_csv,
     report_markdown,
     run_suite,
@@ -33,11 +32,11 @@ from .evalkit import (
     table_markdown,
     trainset_view,
 )
-from .model import FUSED_SELECTOR, load_checkpoint
+from .model import FUSED_SELECTOR, embed_dataset, load_checkpoint
 from .numerics import Rng
 from .objectives import FusionOperator, Strategy, fuse
 from .pipeline import config_hash, grid_search, train
-from .synthdata import SPLIT_GALLERY, MultimodalDataset, generate, split_query_gallery
+from .synthdata import SPLIT_GALLERY, SPLIT_TRAIN, MultimodalDataset, generate, split_query_gallery
 
 
 def load_config(path) -> dict:
@@ -108,6 +107,7 @@ def cmd_train(args) -> int:
     ds, source = _load_or_generate(cfg)
     tcfg, grid = train_config(cfg)
     out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     if grid is None:
         rec = train(ds, tcfg)
         fileio.write_run_record(rec, out, extra={"data_source": source})
@@ -144,9 +144,26 @@ def cmd_eval(args) -> int:
     cfg = apply_overrides(load_config(args.config) if args.config else {}, args.set)
     opts = EvalOptions(**read_section(cfg, "eval"))
     if args.external:
-        return _eval_external(args, cfg, opts, out)
-    if not args.checkpoint:
+        view, evals, summary, kind = _external_evals(args, opts)
+    elif args.checkpoint:
+        view, evals, summary, kind = _checkpoint_evals(args, cfg, opts)
+    else:
         raise ConfigError("eval needs --checkpoint (or --external files)")
+    q_ids = view.ids[view.query_rows]
+    for name, features in evals:
+        report = evaluate(view, features, opts.exclude_same_view, opts.max_rank)
+        _write_report(out, name, report, q_ids, f"{name} ({kind})")
+        summary.append(
+            f"- {name}: mAP {100 * report.map:.2f}%, Rank-1 {100 * report.rank1:.2f}%"
+            f" ({report.num_skipped_queries} skipped)"
+        )
+    fileio.write_text(out / "summary.md", "\n".join(summary) + "\n")
+    print(f"wrote {len(evals)} report pair(s) to {out}")
+    return 0
+
+
+def _checkpoint_evals(args, cfg: dict, opts: EvalOptions) -> tuple:
+    """(view, [(name, features), ...], summary head, report kind) for a checkpoint."""
     model = load_checkpoint(args.checkpoint)
     ds, source = _load_or_generate(cfg)
     if ds.num_modalities != model.num_streams:
@@ -161,9 +178,16 @@ def cmd_eval(args) -> int:
             raise DataError(
                 f"stream {i} expects input dim {want}, dataset modality has {have}"
             )
-    view = trainset_view(ds, opts.views_as_query, opts.seed) if args.trainset else ds
+    if args.trainset:
+        view = trainset_view(ds, opts.views_as_query, opts.seed)
+    else:
+        view = ds.take(ds.split != SPLIT_TRAIN)
     selectors = [(FUSED_SELECTOR, "multimodal")] + [
         (i, f"mod{i}") for i in range(model.num_streams)
+    ]
+    evals = [
+        (name, embed_dataset(model, view, selector, normalize_first=opts.normalize_first))
+        for selector, name in selectors
     ]
     summary = [
         f"# Evaluation {'(train split)' if args.trainset else '(test split)'}",
@@ -174,20 +198,12 @@ def cmd_eval(args) -> int:
         f"- eval options hash: {config_hash(config_dict(opts) | {'trainset': bool(args.trainset)})}",
         "",
     ]
-    for selector, name in selectors:
-        q, g = evalkit.embedding_sets(model, view, selector, opts.normalize_first)
-        report = evaluate_sets(q, g, opts.exclude_same_view, opts.max_rank)
-        _write_report(out, name, report, q.ids, f"{name} ({model.strategy.value})")
-        summary.append(
-            f"- {name}: mAP {100 * report.map:.2f}%, Rank-1 {100 * report.rank1:.2f}%"
-            f" ({report.num_skipped_queries} skipped)"
-        )
-    fileio.write_text(out / "summary.md", "\n".join(summary) + "\n")
-    print(f"wrote {len(selectors)} report pair(s) to {out}")
-    return 0
+    return view, evals, summary, model.strategy.value
 
 
-def _eval_external(args, cfg: dict, opts: EvalOptions, out: Path) -> int:
+def _external_evals(args, opts: EvalOptions) -> tuple:
+    """(view, [(name, features), ...], summary head, report kind) for
+    embedding files: each file, and their fusion when there are several."""
     records = [fileio.read_embedding_file(f) for f in args.external]
     names = []
     for rec in records:
@@ -206,10 +222,12 @@ def _eval_external(args, cfg: dict, opts: EvalOptions, out: Path) -> int:
         split=np.full(base.ids.shape[0], SPLIT_GALLERY, dtype=np.int8),
         modality_names=names,
     )
-    split_ds = split_query_gallery(holder, opts.views_as_query, Rng(opts.seed).split("external-eval"))
-    q_rows, g_rows = split_ds.query_rows, split_ds.gallery_rows
+    view = split_query_gallery(holder, opts.views_as_query, Rng(opts.seed).split("external-eval"))
     op = FusionOperator(args.fusion_op)
     normalize = True if opts.normalize_first is None else opts.normalize_first
+    evals = list(zip(names, view.features))
+    if len(records) > 1:
+        evals.append(("multimodal", fuse(view.features, op, normalize_first=normalize)))
     summary = [
         "# External embedding evaluation",
         "",
@@ -217,22 +235,7 @@ def _eval_external(args, cfg: dict, opts: EvalOptions, out: Path) -> int:
         f"- fusion: {op.value} (normalize_first={normalize})",
         "",
     ]
-    evals = [(name, [feats]) for name, feats in zip(names, split_ds.features)]
-    if len(records) > 1:
-        evals.append(("multimodal", split_ds.features))
-    for name, feats in evals:
-        fused_all = fuse(feats, op, normalize_first=normalize) if len(feats) > 1 else feats[0]
-        q = EmbeddingSet(fused_all[q_rows], split_ds.ids[q_rows], split_ds.view_ids[q_rows], "query")
-        g = EmbeddingSet(fused_all[g_rows], split_ds.ids[g_rows], split_ds.view_ids[g_rows], "gallery")
-        report = evaluate_sets(q, g, opts.exclude_same_view, opts.max_rank)
-        _write_report(out, name, report, q.ids, f"{name} (external)")
-        summary.append(
-            f"- {name}: mAP {100 * report.map:.2f}%, Rank-1 {100 * report.rank1:.2f}%"
-            f" ({report.num_skipped_queries} skipped)"
-        )
-    fileio.write_text(out / "summary.md", "\n".join(summary) + "\n")
-    print(f"wrote {len(evals)} report pair(s) to {out}")
-    return 0
+    return view, evals, summary, "external"
 
 
 def cmd_repro(args) -> int:

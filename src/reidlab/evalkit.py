@@ -24,12 +24,13 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError, ShapeError
-from .model import FUSED_SELECTOR, ModelParams, embed_dataset
-from .numerics import Matrix, Rng, as_matrix, matmul, sorted_unique
+from .model import FUSED_SELECTOR, embed_dataset
+from .numerics import Matrix, Rng, as_matrix, matmul
 from .objectives import Strategy
 from .pipeline import TrainConfig, train
 from .synthdata import (
     SPLIT_GALLERY,
+    SPLIT_TRAIN,
     MultimodalDataset,
     SynthConfig,
     WEAK_STREAM,
@@ -45,22 +46,6 @@ ALL_STRATEGIES = (Strategy.UNICAT, Strategy.FUSION_AVG, Strategy.FUSION_CONCAT)
 
 
 @dataclass
-class EmbeddingSet:
-    features: Matrix
-    ids: np.ndarray
-    view_ids: np.ndarray
-    tag: str  # query | gallery | train
-
-    def validate(self) -> None:
-        n = self.features.shape[0]
-        if self.ids.shape != (n,) or self.view_ids.shape != (n,):
-            raise ShapeError(
-                f"embedding set misaligned: {self.features.shape} features, "
-                f"{self.ids.shape} ids, {self.view_ids.shape} views"
-            )
-
-
-@dataclass
 class RetrievalReport:
     """cmc is indexed by rank: cmc[k] is the rank-k match rate for
     k in 1..max_rank; cmc[0] is unused and fixed at 0. per_query_ap
@@ -73,15 +58,12 @@ class RetrievalReport:
     num_skipped_queries: int
 
 
-def _features_of(x) -> Matrix:
-    return x.features if hasattr(x, "features") else as_matrix(x, "embeddings")
-
-
 def _unit_rows(q, g) -> tuple[Matrix, Matrix]:
     """Query and gallery rows scaled to unit length, as float64: the
-    operands of every cosine distance."""
-    qf = _features_of(q)
-    gf = _features_of(g)
+    operands of every cosine distance. A NaN or inf feature is kept: it
+    makes its row's distances NaN, which cmc_map rejects."""
+    qf = as_matrix(q, "query embeddings", check_finite=False)
+    gf = as_matrix(g, "gallery embeddings", check_finite=False)
     if qf.shape[1] != gf.shape[1]:
         raise ShapeError(f"feature dims differ: query {qf.shape[1]} vs gallery {gf.shape[1]}")
     unit = []
@@ -196,7 +178,7 @@ def _rank_queries(
     exclude_same_view: bool,
     max_rank: int,
 ) -> RetrievalReport:
-    """The ranking core of cmc_map and evaluate_sets.
+    """The ranking core of cmc_map and evaluate.
 
     approx_rows(rows) gives the distances of a slice of query rows to the
     whole gallery, each within tau of the exact distance; exact(rows, cols)
@@ -328,43 +310,32 @@ def cmc_map(
     )
 
 
-def embedding_sets(
-    model: ModelParams,
+def evaluate(
     ds: MultimodalDataset,
-    selector: Union[int, str],
-    normalize_first: Optional[bool] = None,
-) -> tuple[EmbeddingSet, EmbeddingSet]:
-    """Query and gallery EmbeddingSets for one selector."""
-    q_rows = ds.query_rows
-    g_rows = ds.gallery_rows
-    if q_rows.size == 0 or g_rows.size == 0:
-        raise DataError("dataset has an empty query or gallery split")
-    sets = []
-    for rows, tag in ((q_rows, "query"), (g_rows, "gallery")):
-        feats = embed_dataset(model, ds, selector, rows=rows, normalize_first=normalize_first)
-        sets.append(EmbeddingSet(feats, ds.ids[rows], ds.view_ids[rows], tag))
-    return sets[0], sets[1]
-
-
-def evaluate_sets(
-    q: EmbeddingSet,
-    g: EmbeddingSet,
+    features: Matrix,
     exclude_same_view: bool = False,
     max_rank: int = 50,
 ) -> RetrievalReport:
-    """The report of cmc_map(cosine_distance(q, g), ...), byte for byte,
-    without forming the query x gallery distance matrix.
+    """Rank ds's query rows against its gallery rows by the cosine distance
+    of features, which holds one row per row of ds; train rows are not read.
 
-    Each block of query rows is screened with np.dot distances of the unit
-    rows, which any BLAS computes within _screen_tolerance of
-    cosine_distance's. The relevant entries, and the non-relevant entries
-    within that tolerance of one, get their exact distances from
-    cosine_distance on just those rows and columns.
+    The report is that of cmc_map(cosine_distance(features[q], features[g]),
+    ...) for the query rows q and gallery rows g, byte for byte, without
+    forming the query x gallery distance matrix. Each block of query rows
+    is screened with np.dot distances of the unit rows, which any BLAS
+    computes within _screen_tolerance of cosine_distance's. The relevant
+    entries, and the non-relevant entries within that tolerance of one,
+    get their exact distances from cosine_distance on just those rows and
+    columns.
     """
-    q.validate()
-    g.validate()
-    uq, ug = _unit_rows(q, g)
-    if uq.shape[0] and ug.shape[0] and not (np.all(np.isfinite(uq)) and np.all(np.isfinite(ug))):
+    features = np.asarray(features)
+    if features.ndim != 2 or features.shape[0] != ds.num_samples:
+        raise ShapeError(f"features {features.shape} do not hold one row per row of {ds.num_samples}")
+    q_rows, g_rows = ds.query_rows, ds.gallery_rows
+    if q_rows.size == 0 or g_rows.size == 0:
+        raise DataError("dataset has an empty query or gallery split")
+    uq, ug = _unit_rows(features[q_rows], features[g_rows])
+    if not (np.all(np.isfinite(uq)) and np.all(np.isfinite(ug))):
         # A NaN or inf feature makes every distance of its row NaN.
         raise NumericError("distance matrix contains non-finite entries")
 
@@ -376,72 +347,25 @@ def evaluate_sets(
     return _rank_queries(
         (uq.shape[0], ug.shape[0]),
         approx_rows,
-        lambda rows, cols: cosine_distance(q.features[rows], g.features[cols]),
+        lambda rows, cols: cosine_distance(features[q_rows[rows]], features[g_rows[cols]]),
         _screen_tolerance(uq, ug),
-        q.ids, g.ids, q.view_ids, g.view_ids, exclude_same_view, max_rank,
+        ds.ids[q_rows], ds.ids[g_rows], ds.view_ids[q_rows], ds.view_ids[g_rows],
+        exclude_same_view, max_rank,
     )
-
-
-def eval_multimodal(
-    model: ModelParams,
-    ds: MultimodalDataset,
-    exclude_same_view: bool = False,
-    max_rank: int = 50,
-    normalize_first: Optional[bool] = None,
-) -> RetrievalReport:
-    """Retrieval with the strategy's inference rule on the test split."""
-    q, g = embedding_sets(model, ds, FUSED_SELECTOR, normalize_first)
-    return evaluate_sets(q, g, exclude_same_view, max_rank)
-
-
-def eval_unimodal(
-    model: ModelParams,
-    ds: MultimodalDataset,
-    stream_index: int,
-    exclude_same_view: bool = False,
-    max_rank: int = 50,
-) -> RetrievalReport:
-    """Retrieval with a single stream's post-BN feature on the test split."""
-    q, g = embedding_sets(model, ds, int(stream_index))
-    return evaluate_sets(q, g, exclude_same_view, max_rank)
 
 
 def trainset_view(ds: MultimodalDataset, views_as_query: Optional[int] = None, seed: int = 0) -> MultimodalDataset:
-    """Train rows re-cast as a query/gallery split (seeded, deterministic)."""
+    """Train rows re-cast as a query/gallery split (seeded, deterministic).
+
+    Scoring a model on it with the test protocol is the overfitting
+    diagnostic: high values mean the feature memorizes its training
+    identities."""
     rows = ds.train_rows
     if rows.size == 0:
         raise DataError("dataset has no training rows")
-    sub_ids = ds.ids[rows]
-    if views_as_query is None:
-        counts = np.bincount(np.searchsorted(sorted_unique(sub_ids), sub_ids))
-        views_as_query = max(1, int(counts.min()) // 4)
-    sub = MultimodalDataset(
-        features=[f[rows] for f in ds.features],
-        ids=sub_ids,
-        view_ids=ds.view_ids[rows],
-        split=np.full(rows.size, SPLIT_GALLERY, dtype=np.int8),
-        modality_names=list(ds.modality_names),
-    )
+    sub = ds.take(rows)
+    sub.split[:] = SPLIT_GALLERY
     return split_query_gallery(sub, views_as_query, Rng(seed).split("trainset-eval"))
-
-
-def eval_trainset(
-    model: ModelParams,
-    ds: MultimodalDataset,
-    selector: Union[int, str],
-    views_as_query: Optional[int] = None,
-    seed: int = 0,
-    exclude_same_view: bool = False,
-    max_rank: int = 50,
-) -> RetrievalReport:
-    """Retrieval performance on the training identities themselves.
-
-    The train rows are split into query/gallery with the same protocol
-    as the test set; high values mean the feature memorizes its training
-    identities (the overfitting diagnostic)."""
-    tv = trainset_view(ds, views_as_query, seed)
-    q, g = embedding_sets(model, tv, selector)
-    return evaluate_sets(q, g, exclude_same_view, max_rank)
 
 
 @dataclass(frozen=True)
@@ -610,16 +534,20 @@ def _usable_cpus() -> int:
 
 def _suite_cell(spec: SuiteSpec, ds: MultimodalDataset, seed: int, strategy: Strategy, epochs: int) -> tuple:
     """Train one (seed, strategy) cell: (stream names, [(target, (mAP, rank1)), ...] in target order)."""
-    rec = train(ds, suite_train_config(strategy, seed, epochs))
-    out = []
-    for i, name in enumerate(ds.modality_names):
-        rep = eval_unimodal(rec.model, ds, i)
-        out.append((spec.target(name), (rep.map, rep.rank1)))
-        if spec.train_split:
-            rep = eval_trainset(rec.model, ds, i)
-            out.append((spec.target(name, "train"), (rep.map, rep.rank1)))
-    rep = eval_multimodal(rec.model, ds)
-    out.append((spec.target(MULTIMODAL), (rep.map, rep.rank1)))
+    model = train(ds, suite_train_config(strategy, seed, epochs)).model
+    test = ds.take(ds.split != SPLIT_TRAIN)
+    splits = [("test", test)] + ([("train", trainset_view(ds))] if spec.train_split else [])
+
+    def score(view: MultimodalDataset, selector: Union[int, str]) -> tuple:
+        rep = evaluate(view, embed_dataset(model, view, selector))
+        return rep.map, rep.rank1
+
+    out = [
+        (spec.target(name, split), score(view, i))
+        for i, name in enumerate(ds.modality_names)
+        for split, view in splits
+    ]
+    out.append((spec.target(MULTIMODAL), score(test, FUSED_SELECTOR)))
     return tuple(ds.modality_names), out
 
 

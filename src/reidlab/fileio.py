@@ -162,8 +162,12 @@ def read_embedding_file(path) -> EmbeddingRecord:
     return EmbeddingRecord(name=name, features=features, ids=ids, view_ids=view_ids)
 
 
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def dump_json(obj, path: Path) -> None:
-    write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    write_text(path, _json_text(obj))
 
 
 def _manifest(ds: MultimodalDataset, files: list, cfg_dict: Optional[dict]) -> dict:
@@ -256,7 +260,11 @@ def loss_curve_csv(rec: RunRecord) -> str:
 
 
 def write_run_record(rec: RunRecord, outdir, extra: Optional[dict] = None) -> None:
-    """Run directory: config snapshot, loss curve CSV, checkpoint blob."""
+    """Run directory: config snapshot, loss curve CSV, checkpoint blob.
+
+    The checkpoint is saved while the other two files are still open, so
+    an error while writing any of the three replaces none of them.
+    """
     from .model import save_checkpoint  # local import to keep fileio light
 
     outdir = Path(outdir)
@@ -268,6 +276,8 @@ def write_run_record(rec: RunRecord, outdir, extra: Optional[dict] = None) -> No
     }
     if extra:
         snapshot.update(extra)
-    dump_json(snapshot, outdir / "config.json")
-    write_text(outdir / "loss_curve.csv", loss_curve_csv(rec))
-    save_checkpoint(rec.model, outdir / "checkpoint.bin")
+    with atomic_write(outdir / "config.json") as config_fh:
+        config_fh.write(_json_text(snapshot))
+        with atomic_write(outdir / "loss_curve.csv") as curve_fh:
+            curve_fh.write(loss_curve_csv(rec))
+            save_checkpoint(rec.model, outdir / "checkpoint.bin")

@@ -349,10 +349,9 @@ def embed_dataset(
     params: ModelParams,
     ds,
     selector: Union[int, str],
-    rows: Optional[np.ndarray] = None,
     normalize_first: Optional[bool] = None,
 ) -> Matrix:
-    """Eval-mode retrieval features for dataset rows.
+    """Eval-mode retrieval features, one row per dataset row.
 
     selector: a stream index for unimodal features (that stream's
     post-BN z_bn), or "multimodal" for the strategy's inference rule:
@@ -368,28 +367,24 @@ def embed_dataset(
     if isinstance(selector, str) and selector != FUSED_SELECTOR:
         raise DataError(f"unknown selector {selector!r}; use a stream index or {FUSED_SELECTOR!r}")
 
-    def stream_input(i: int) -> Matrix:
-        x = ds.features[i]
-        return x if rows is None else x[rows]
-
     if isinstance(selector, (int, np.integer)):
         idx = int(selector)
         if idx < 0 or idx >= params.num_streams:
             raise DataError(f"stream selector {idx} out of range [0, {params.num_streams})")
-        out = stream_forward(params.streams[idx], stream_input(idx), train=False)
+        out = stream_forward(params.streams[idx], ds.features[idx], train=False)
         return out.z_bn
 
     if normalize_first is None:
         normalize_first = default_normalize_first(params.strategy)
     if params.strategy.is_fusion:
         zs = [
-            stream_forward(params.streams[i], stream_input(i), train=False).z
+            stream_forward(params.streams[i], ds.features[i], train=False).z
             for i in range(params.num_streams)
         ]
         z_fuse = fuse(zs, inference_fusion_op(params.strategy), normalize_first=normalize_first)
         return head_forward(params.fused, z_fuse, train=False).z_bn
     feats = [
-        stream_forward(params.streams[i], stream_input(i), train=False).z_bn
+        stream_forward(params.streams[i], ds.features[i], train=False).z_bn
         for i in range(params.num_streams)
     ]
     return fuse(feats, FusionOperator.CONCAT, normalize_first=normalize_first)

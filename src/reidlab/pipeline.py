@@ -23,7 +23,9 @@ import numpy as np
 from .config import TrainConfig, config_dict
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .model import (
+    FUSED_SELECTOR,
     ModelParams,
+    embed_dataset,
     head_backward,
     head_forward,
     init_model,
@@ -237,20 +239,9 @@ def carve_validation(ds: MultimodalDataset, rng: Rng, id_fraction: float = 0.1) 
         )
     perm = rng.permutation(ids.size)
     val_ids = set(ids[perm[:n_val]].tolist())
-    sub_ids = ds.ids[rows]
-    split = np.full(rows.size, SPLIT_TRAIN, dtype=np.int8)
-    is_val = np.isin(sub_ids, list(val_ids))
-    split[is_val] = SPLIT_GALLERY
-    sub = MultimodalDataset(
-        features=[f[rows] for f in ds.features],
-        ids=sub_ids,
-        view_ids=ds.view_ids[rows],
-        split=split,
-        modality_names=list(ds.modality_names),
-    )
-    counts = np.bincount(np.searchsorted(sorted_unique(sub_ids[is_val]), sub_ids[is_val]))
-    views_as_query = max(1, int(counts.min()) // 4)
-    return split_query_gallery(sub, views_as_query, rng.split("val-query-split"))
+    sub = ds.take(rows)
+    sub.split[np.isin(sub.ids, list(val_ids))] = SPLIT_GALLERY
+    return split_query_gallery(sub, None, rng.split("val-query-split"))
 
 
 @dataclass(frozen=True)
@@ -283,11 +274,12 @@ def grid_search(
     the lower lr, then the smaller batch. The winning cell is retrained
     on the full train split and returned as `best`.
     """
-    from . import evalkit  # local import, evalkit depends on this module
+    from .evalkit import evaluate  # local import, evalkit depends on this module
 
     if len(batch_sizes) == 0 or len(lr_values) == 0:
         raise ConfigError("grid_search needs at least one batch size and one lr")
     ds_val = carve_validation(ds, Rng(base_cfg.seed).split("grid-val"))
+    val_view = ds_val.take(ds_val.split != SPLIT_TRAIN)
     cells = []
     cell_records = []
     scored = []
@@ -299,7 +291,7 @@ def grid_search(
         for lr in lr_values:
             cfg = replace(base_cfg, p=bs // base_cfg.k, lr_base=lr)
             rec = train(ds_val, cfg)
-            report = evalkit.eval_multimodal(rec.model, ds_val)
+            report = evaluate(val_view, embed_dataset(rec.model, val_view, FUSED_SELECTOR))
             cell = GridCell(
                 batch_size=bs,
                 lr=lr,

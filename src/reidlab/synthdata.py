@@ -16,7 +16,7 @@ spurious bait).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -80,10 +80,6 @@ class SynthConfig:
             if self.spurious_strength[i] < 0 or not np.isfinite(self.spurious_strength[i]):
                 raise ConfigError(f"spurious_strength[{i}] must be finite and >= 0")
 
-    def feature_dims(self) -> tuple:
-        """Observed dim per modality including appended spurious block."""
-        return tuple(o + s for o, s in zip(self.obs_dim, self.spurious_dim))
-
 
 @dataclass
 class MultimodalDataset:
@@ -103,6 +99,16 @@ class MultimodalDataset:
     @property
     def num_samples(self) -> int:
         return int(self.ids.shape[0])
+
+    def take(self, rows) -> "MultimodalDataset":
+        """The dataset of the given rows (indices or a boolean mask), in order."""
+        return MultimodalDataset(
+            features=[x[rows] for x in self.features],
+            ids=self.ids[rows],
+            view_ids=self.view_ids[rows],
+            split=self.split[rows],
+            modality_names=list(self.modality_names),
+        )
 
     def rows_with(self, tag: int) -> np.ndarray:
         return np.nonzero(self.split == tag)[0]
@@ -203,19 +209,25 @@ def generate(cfg: SynthConfig) -> MultimodalDataset:
         split=split,
         modality_names=[f"mod{i}" for i in range(cfg.num_modalities)],
     )
-    ds = split_query_gallery(ds, max(1, views // 4), root.split("query-split"))
+    ds = split_query_gallery(ds, None, root.split("query-split"))
     ds.validate()
     return ds
 
 
-def split_query_gallery(ds: MultimodalDataset, views_as_query: int, rng: Rng) -> MultimodalDataset:
+def split_query_gallery(
+    ds: MultimodalDataset, views_as_query: Optional[int], rng: Rng
+) -> MultimodalDataset:
     """Re-tag each test identity's rows: views_as_query random views as
-    query, the rest as gallery. Seeded and deterministic."""
-    if views_as_query < 1:
-        raise ConfigError(f"views_as_query must be >= 1, got {views_as_query}")
+    query, the rest as gallery. Seeded and deterministic. None means a
+    quarter of the fewest test views of any identity, and at least 1."""
     split = ds.split.copy()
     test_rows = np.nonzero(split != SPLIT_TRAIN)[0]
-    for tid, at in zip(*label_groups(ds.ids[test_rows])):
+    groups = label_groups(ds.ids[test_rows])
+    if views_as_query is None:
+        views_as_query = max(1, min((at.size for at in groups[1]), default=0) // 4)
+    if views_as_query < 1:
+        raise ConfigError(f"views_as_query must be >= 1, got {views_as_query}")
+    for tid, at in zip(*groups):
         rows = test_rows[at]
         if rows.size <= views_as_query:
             raise DataError(

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from reidlab import evalkit
+from reidlab import cli, evalkit
 from reidlab.cli import apply_overrides, load_config, main, validate_config
 from reidlab.errors import ConfigError, NumericError
 from reidlab.fileio import read_dataset, write_embedding_file
@@ -274,6 +274,20 @@ def test_train_from_dataset_dir_and_grid(tmp_path):
     assert (out / "checkpoint.bin").exists()  # winner retrained on full split
 
 
+@pytest.mark.parametrize("grid", [None, {"batch_sizes": [4], "lr_values": [0.05]}])
+def test_train_fails_fast_on_unwritable_out(tmp_path, monkeypatch, capsys, grid):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    called = []
+    monkeypatch.setattr(cli, "train", lambda *args: called.append("train"))
+    monkeypatch.setattr(cli, "grid_search", lambda *args: called.append("grid_search"))
+    trn = TINY_TRAIN if grid is None else dict(TINY_TRAIN, grid=grid)
+    cfg = _config(tmp_path, data=TINY_DATA, trn=trn)
+    assert main(["train", "-c", str(cfg), "-o", str(blocker / "run")]) == 3
+    assert "file error" in capsys.readouterr().err
+    assert called == []
+
+
 def test_train_exit_code_on_bad_strategy(tmp_path):
     cfg = _config(tmp_path, data=TINY_DATA, trn=dict(TINY_TRAIN, strategy="nope"))
     assert main(["train", "-c", str(cfg), "-o", str(tmp_path / "x")]) == 2
@@ -510,6 +524,99 @@ def test_eval_external_files(tmp_path):
     bad = tmp_path / "c.uceb"
     write_embedding_file(bad, "modX", ds.features[0][:8], ds.ids[:8], ds.view_ids[:8])
     assert main(["eval", "--external", str(f1), str(bad), "-o", str(tmp_path / "z")]) == 3
+
+
+# sha256 of every file `eval` writes, and of the grid's selection.json, on
+# EVAL_DATA. Every query's AP on each split and selector goes into them.
+EVAL_DATA = dict(TINY_DATA, ids_train=30, ids_test=10, views_per_id=6, noise_sigma=1.0, view_jitter=0.5)
+EVAL_SHA256 = {
+    "unicat/test": {
+        "report_mod0.csv": "0e64dc3941d4877fd9cf5f88d31e48d0047906cbef8109f3c96ee23cde8ae202",
+        "report_mod0.md": "b46f258d5fec7bd14d1576a7110d41749a73cf7013a5f8d60b976e8247a811cd",
+        "report_mod1.csv": "6d1a10c135d366cb5c2ddcdee82ec3477c433d7d92cd42ec90b397c737b3d495",
+        "report_mod1.md": "55ab6a6ed79cdb9ec222b057cc92db463a70545e421b8d523cec605d665c182c",
+        "report_multimodal.csv": "d1e0513e47b8e242fc53b82ff943306cb1f3aa2b328e97dd345f24a5c77153f2",
+        "report_multimodal.md": "7d7217853f6f65a7a1dedf181eef9923e78cf878f94e3966e197d6e99be02202",
+        "summary.md": "eabc87b77a5f07a438b75c4cc84ecc17bb53ca618fe0e111958baad5b177acd9",
+    },
+    "unicat/train": {
+        "report_mod0.csv": "75f7d0458bdcb80cd57ca0b6efe7504bdc4a2f0b4a6f1c236fcfe2f8227aa4b9",
+        "report_mod0.md": "392006d2738c0c0b2e870badecff4fe63579db589ecc1ef16cda448ef8c0335b",
+        "report_mod1.csv": "7f97c61e497df4d63ccb354b7c5a0a342a24a5df8e233a6e74cfc690be6b34aa",
+        "report_mod1.md": "73bb40a047c4731cf35e4bc5c0f7ac3097e21ff26a44ea44e3c97a9e20528b20",
+        "report_multimodal.csv": "9dce87846c51362200b09924075b7d0b5bcf8ea8d166d4c8814a7517fe430cf7",
+        "report_multimodal.md": "b0241c6ceb53642efd410f1c7c3057809bfce96caeb870cc3b3967312ec76edf",
+        "summary.md": "47023698abf63dabf0645736c6475c425bbb939fb471d2da678b61622122c269",
+    },
+    "fusion-concat/test": {
+        "report_mod0.csv": "262dace08d171fcff2018e0d6dc4a3f70522c4c30585a42a2afe4dc9974dc108",
+        "report_mod0.md": "523f0b8528c9f96b68e666b470b6f2b5d0ecc2e958d5b9264f6eabb9209bde1c",
+        "report_mod1.csv": "4d1ede6a68684dc52b4f029ae6f506a6413960e31cbfd6a84e55fd789d4f02cb",
+        "report_mod1.md": "80439e15e2193d0ec3889a925673e192a73d9c8eea2636a49b8ee333db08723a",
+        "report_multimodal.csv": "69508d9780925672eb480460374cc2487acb741b42f79d388289532d35cf2971",
+        "report_multimodal.md": "e6f51d259081c6956d7b1ce23a89991022880e29cf9bf93d5c919f7b6787748c",
+        "summary.md": "d732ec0d6aee1cd0211c0f25bc2111e75de1defee5e264629240aeca67487810",
+    },
+    "fusion-concat/train": {
+        "report_mod0.csv": "6c98819fa71f5c8347a46090ac15b51daffc69e28da2106ad6ad02c43c15bc8e",
+        "report_mod0.md": "1f2cc86b4c27155f0996bc32aeabe3ef998d67b7714a98e76ba1c0beda387bb4",
+        "report_mod1.csv": "b2edf94506bcf78c3d2a42a887a6d5b29310a454e0d9398cd67478b39dd6d10a",
+        "report_mod1.md": "09a11d8ccc8835d9e702240be939ee40d9cd290d6f5f320ebe4d280fedf3b7c3",
+        "report_multimodal.csv": "e0c7ad0944754509240e664f51a59dff5a6f93d159075f752433220ed9094eb6",
+        "report_multimodal.md": "76b9eff690989d54a1d88a58689d17cf8d660b5ae9e3b79c45ab6efb8ba6c328",
+        "summary.md": "ba4935a3cfd039980bfa322c8b5397049e54665785a0d9b051a8378b7dd86c75",
+    },
+    "external/concat": {
+        "report_mod0.csv": "89fee2077606e5a979942ca06eeaf387c1059a0f4060a5a175338c483aa36bab",
+        "report_mod0.md": "b9de1c948d75e9a0a10c5b9ec9eb4913fe20db479dbefb152fafabd72210ac18",
+        "report_mod1.csv": "1e500ca61cccba3d352d3d9758964f89094c0596a7c6744f28319f8e88f713b8",
+        "report_mod1.md": "34c284ac278e505a676ca84bb93f1f5bc69c3d6d0ce3166db6aeb80f67c37684",
+        "report_multimodal.csv": "68d95bd84dc7fdd32f5b1e2f2dbeb21f4ec61f82a5ffc1d029e5cd731d6cfb49",
+        "report_multimodal.md": "682cb99c0ee4712f9dba27131e3fed8fdda7d252a170e9999bf9398ff10d1d90",
+        "summary.md": "1b4ea0f804bd788eb8afb5d26547df5bc5800ace5bd44ba3a28afe65ce1eeea0",
+    },
+    "external/average": {
+        "report_mod0.csv": "89fee2077606e5a979942ca06eeaf387c1059a0f4060a5a175338c483aa36bab",
+        "report_mod0.md": "b9de1c948d75e9a0a10c5b9ec9eb4913fe20db479dbefb152fafabd72210ac18",
+        "report_mod1.csv": "1e500ca61cccba3d352d3d9758964f89094c0596a7c6744f28319f8e88f713b8",
+        "report_mod1.md": "34c284ac278e505a676ca84bb93f1f5bc69c3d6d0ce3166db6aeb80f67c37684",
+        "report_multimodal.csv": "6a5b7db7acb8f498702e36d02504c3ea036825e0ffefe9619d5395cdabda8c4b",
+        "report_multimodal.md": "7c48c4a8972a37fd8f3663819498cdcdf9bca83485685ffd24c1a9449d0f3874",
+        "summary.md": "fbc3289623389c59f1e6de4ffccdfc79ec331e4199354c6e3238f1953052fd25",
+    },
+    "grid/selection.json": "0cc3fc578186a4a6d07a9c965b16bbe6cba96972d04288f804e41a15f613f6c7",
+}
+
+
+def test_eval_and_grid_bytes_pinned(tmp_path, monkeypatch):
+    # Paths are relative to tmp_path, so the summaries that name them repeat.
+    monkeypatch.chdir(tmp_path)
+
+    def run(*argv):
+        assert main(list(argv)) == 0, argv
+
+    def digests(out):
+        return {name: hashlib.sha256(data).hexdigest() for name, data in _dir_bytes(Path(out)).items()}
+
+    got = {}
+    for strategy in ("unicat", "fusion-concat"):
+        cfg = _config(tmp_path, f"{strategy}.yaml", data=EVAL_DATA, trn=dict(TINY_TRAIN, strategy=strategy))
+        run("train", "-c", cfg.name, "-o", strategy)
+        ckpt = f"{strategy}/checkpoint.bin"
+        run("eval", "-c", cfg.name, "--checkpoint", ckpt, "-o", f"ev-{strategy}")
+        run("eval", "-c", cfg.name, "--checkpoint", ckpt, "-o", f"tr-{strategy}", "--trainset")
+        got[f"{strategy}/test"] = digests(f"ev-{strategy}")
+        got[f"{strategy}/train"] = digests(f"tr-{strategy}")
+    ds = generate(SynthConfig(**EVAL_DATA))
+    for i in range(2):
+        write_embedding_file(f"e{i}.uceb", f"mod{i}", ds.features[i], ds.ids, ds.view_ids)
+    for op in ("concat", "average"):
+        run("eval", "--external", "e0.uceb", "e1.uceb", "-o", f"ext-{op}", "--fusion-op", op)
+        got[f"external/{op}"] = digests(f"ext-{op}")
+    grid = dict(TINY_TRAIN, grid={"batch_sizes": [4, 6], "lr_values": [0.05, 0.02]})
+    run("train", "-c", _config(tmp_path, "grid.yaml", data=EVAL_DATA, trn=grid).name, "-o", "grid")
+    got["grid/selection.json"] = hashlib.sha256(Path("grid/selection.json").read_bytes()).hexdigest()
+    assert got == EVAL_SHA256
 
 
 # ---------------------------------------------------------------- cmd_repro

@@ -10,14 +10,9 @@ from reidlab.errors import ConfigError, DataError, NumericError, ShapeError
 from reidlab.evalkit import (
     ALL_STRATEGIES,
     SUITE_NAMES,
-    EmbeddingSet,
     cmc_map,
     cosine_distance,
-    embedding_sets,
-    eval_multimodal,
-    eval_trainset,
-    eval_unimodal,
-    evaluate_sets,
+    evaluate,
     report_csv,
     report_markdown,
     run_suite,
@@ -30,7 +25,7 @@ from reidlab.model import FUSED_SELECTOR, embed_dataset
 from reidlab.numerics import Rng
 from reidlab.objectives import Strategy
 from reidlab.pipeline import TrainConfig, train
-from reidlab.synthdata import SynthConfig, generate
+from reidlab.synthdata import SPLIT_GALLERY, SPLIT_QUERY, MultimodalDataset, SynthConfig, generate
 
 from support import argsort_cmc_map, oracle_cmc_map
 
@@ -48,6 +43,10 @@ def _trained(ds, strategy=Strategy.UNICAT, epochs=3, seed=0):
                       epochs=epochs, warmup_epochs=1, hidden_dims=(8,),
                       embed_dim=4, seed=seed)
     return train(ds, cfg).model
+
+
+def _score(model, ds, selector=FUSED_SELECTOR):
+    return evaluate(ds, embed_dataset(model, ds, selector))
 
 
 # ---------------------------------------------------------- cosine_distance
@@ -318,7 +317,7 @@ def test_cmc_map_single_identity_not_slower_than_full_argsort():
         assert best_of(cmc_map, *case) <= 2.0 * best_of(argsort_cmc_map, *case)
 
 
-# ------------------------------------------------ evaluate_sets screening
+# ----------------------------------------------------- evaluate screening
 
 def _report_bytes(run, q_ids):
     """What the report run() returns writes (report_csv, CMC bytes, skipped
@@ -330,20 +329,29 @@ def _report_bytes(run, q_ids):
     return report_csv(rep, q_ids), rep.cmc.tobytes(), rep.num_skipped_queries
 
 
-def _exact_report_bytes(q, g, excl=False, max_rank=50):
+def _retrieval_ds(f, ids, views, is_query):
+    """A one-modality dataset of the rows of f: query where is_query, else
+    gallery. It is not validated: a query id may be absent from the gallery."""
+    split = np.where(is_query, SPLIT_QUERY, SPLIT_GALLERY).astype(np.int8)
+    return MultimodalDataset([f], ids, views, split, ["m0"])
+
+
+def _exact_report_bytes(ds, f, excl=False, max_rank=50):
     """The bytes of the full exact distance matrix ranked by cmc_map."""
+    q, g = ds.query_rows, ds.gallery_rows
     return _report_bytes(lambda: cmc_map(
-        cosine_distance(q, g), q.ids, g.ids, q.view_ids, g.view_ids, excl, max_rank), q.ids)
+        cosine_distance(f[q], f[g]), ds.ids[q], ds.ids[g], ds.view_ids[q], ds.view_ids[g],
+        excl, max_rank), ds.ids[q])
 
 
-def _screened_report_bytes(q, g, excl=False, max_rank=50):
-    return _report_bytes(lambda: evaluate_sets(q, g, excl, max_rank), q.ids)
+def _screened_report_bytes(ds, f, excl=False, max_rank=50):
+    return _report_bytes(lambda: evaluate(ds, f, excl, max_rank), ds.ids[ds.query_rows])
 
 
 def _adversarial_sets(rng, case):
-    """Query and gallery sets whose rows copy, rescale or nudge by one ulp
-    earlier rows, so that distances tie or nearly tie across identities.
-    Returns (q, g, kinds of rows made)."""
+    """A query/gallery dataset and its features, whose rows copy, rescale or
+    nudge by one ulp earlier rows, so that distances tie or nearly tie
+    across identities. Returns (dataset, features, kinds of rows made)."""
     dim = 1 if case % 10 == 0 else int(rng.integers(2, 9))
     nq = 1 if case % 11 == 0 else int(rng.integers(1, 16))
     ng = 1 if case % 13 == 0 else int(rng.integers(1, 40))
@@ -375,14 +383,12 @@ def _adversarial_sets(rng, case):
     num_ids = int(rng.integers(1, 5))
     ids = rng.integers(0, num_ids, size=nq + ng)
     views = rng.integers(0, 3, size=nq + ng)
-    q = EmbeddingSet(f[:nq], ids[:nq], views[:nq], "query")
-    g = EmbeddingSet(f[nq:], ids[nq:], views[nq:], "gallery")
-    return q, g, kinds
+    return _retrieval_ds(f, ids, views, np.arange(nq + ng) < nq), f, kinds
 
 
 def test_evaluate_sets_bytes_equal_exact_matrix_ranking(monkeypatch):
-    # evaluate_sets calls cosine_distance once per query block (one block
-    # here) and once per query row that has entries in its band.
+    # evaluate calls cosine_distance once per query block (one block here)
+    # and once per query row that has entries in its band.
     exact_calls = []
     real_cosine_distance = evalkit.cosine_distance
     monkeypatch.setattr(evalkit, "cosine_distance",
@@ -393,19 +399,20 @@ def test_evaluate_sets_bytes_equal_exact_matrix_ranking(monkeypatch):
          "single query", "single gallery", "excl", "skipped", "max_rank > ng", "band",
          "reports"], 0)
     for case in range(320):
-        q, g, kinds = _adversarial_sets(rng, case)
+        ds, f, kinds = _adversarial_sets(rng, case)
+        nq, ng = ds.query_rows.size, ds.gallery_rows.size
         excl = bool(case % 2)
-        max_rank = int(rng.integers(1, g.ids.size + 5))
-        want = _exact_report_bytes(q, g, excl, max_rank)
+        max_rank = int(rng.integers(1, ng + 5))
+        want = _exact_report_bytes(ds, f, excl, max_rank)
         exact_calls.clear()
-        assert _screened_report_bytes(q, g, excl, max_rank) == want, case
+        assert _screened_report_bytes(ds, f, excl, max_rank) == want, case
         for kind in kinds:
             seen[kind] += 1
-        seen["dim 1"] += int(q.features.shape[1] == 1)
-        seen["single query"] += int(q.ids.size == 1)
-        seen["single gallery"] += int(g.ids.size == 1)
+        seen["dim 1"] += int(f.shape[1] == 1)
+        seen["single query"] += int(nq == 1)
+        seen["single gallery"] += int(ng == 1)
         seen["excl"] += int(excl)
-        seen["max_rank > ng"] += int(max_rank > g.ids.size)
+        seen["max_rank > ng"] += int(max_rank > ng)
         seen["band"] += int(len(exact_calls) > 1)
         if isinstance(want[0], str):
             seen["reports"] += 1
@@ -457,65 +464,67 @@ def _gallery_sets_1000x4000(seed, dim=32):
     f = centres[ids] + 0.7 * rng.normal(size=(ids.size, dim))
     is_query = np.tile(np.arange(10) < 2, 500)
     views = np.tile(np.arange(10), 500)
-    return (EmbeddingSet(f[is_query], ids[is_query], views[is_query], "query"),
-            EmbeddingSet(f[~is_query], ids[~is_query], views[~is_query], "gallery"))
+    return _retrieval_ds(f, ids, views, is_query), f
 
 
 def test_evaluate_sets_memory_bounded_below_distance_matrix():
-    q, g = _gallery_sets_1000x4000(3)
-    matrix_bytes = 8 * q.ids.size * g.ids.size
+    ds, f = _gallery_sets_1000x4000(3)
+    matrix_bytes = 8 * ds.query_rows.size * ds.gallery_rows.size
     tracemalloc.start()
     try:
-        rep = evaluate_sets(q, g)
+        rep = evaluate(ds, f)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < matrix_bytes, (peak, matrix_bytes)
-    assert _report_bytes(lambda: rep, q.ids) == _exact_report_bytes(q, g)
+    assert _report_bytes(lambda: rep, ds.ids[ds.query_rows]) == _exact_report_bytes(ds, f)
 
 
 @pytest.mark.parametrize("side", ["query", "gallery"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0])
 def test_evaluate_sets_rejects_bad_features_as_exact_path(side, value):
-    q, g, _ = _adversarial_sets(np.random.default_rng(2), 7)
-    bad = q if side == "query" else g
+    ds, f, _ = _adversarial_sets(np.random.default_rng(2), 7)
+    bad_row = (ds.query_rows if side == "query" else ds.gallery_rows)[-1]
     if value == 0.0:
-        bad.features[-1] = 0.0
+        f[bad_row] = 0.0
         want = (DataError, f"{side} embeddings contain a zero-norm row; cosine undefined")
     else:
-        bad.features[-1, 0] = value
+        f[bad_row, 0] = value
         want = (NumericError, "distance matrix contains non-finite entries")
     with np.errstate(invalid="ignore"):
-        assert _exact_report_bytes(q, g) == want
-        assert _screened_report_bytes(q, g) == want
+        assert _exact_report_bytes(ds, f) == want
+        assert _screened_report_bytes(ds, f) == want
 
 
 # ------------------------------------------------------- model-based evals
 
 def test_embedding_sets_and_zero_norm_guard():
+    # One embed_dataset call over query and gallery rows gives the bits of
+    # one call per split: every eval-mode kernel is row-independent.
     ds = _tiny_ds()
-    model = _trained(ds)
-    q, g = embedding_sets(model, ds, 0)
-    assert q.tag == "query" and g.tag == "gallery"
-    assert q.features.shape == (ds.query_rows.size, 4)
-    assert np.array_equal(q.ids, ds.ids[ds.query_rows])
-    q.validate()
-    bad = EmbeddingSet(np.zeros((2, 3)), np.array([1, 2]), np.array([0, 0]), "query")
-    with pytest.raises(DataError):
-        cosine_distance(bad, bad)
+    for strategy in ALL_STRATEGIES:
+        model = _trained(ds, strategy)
+        for selector in (0, 1, FUSED_SELECTOR):
+            both = embed_dataset(model, ds, selector)
+            for rows in (ds.query_rows, ds.gallery_rows):
+                alone = embed_dataset(model, ds.take(rows), selector)
+                assert both[rows].tobytes() == alone.tobytes(), (strategy, selector)
+    with pytest.raises(DataError, match="query embeddings contain a zero-norm row"):
+        cosine_distance(np.zeros((2, 3)), np.ones((2, 3)))
     with pytest.raises(ShapeError):
-        EmbeddingSet(np.zeros((2, 3)), np.array([1]), np.array([0, 0]), "query").validate()
+        evaluate(ds, both[:-1])
 
 
 def test_unicat_fused_similarity_is_mean_of_stream_similarities():
     ds = _tiny_ds(m=3)
     model = _trained(ds, Strategy.UNICAT, epochs=2)
-    fq, fg = embedding_sets(model, ds, FUSED_SELECTOR)  # normalized concat
-    d_fused = cosine_distance(fq, fg)
+    q, g = ds.query_rows, ds.gallery_rows
+    fused = embed_dataset(model, ds, FUSED_SELECTOR)  # normalized concat
+    d_fused = cosine_distance(fused[q], fused[g])
     sims = []
     for i in range(3):
-        q, g = embedding_sets(model, ds, i)
-        sims.append(1.0 - cosine_distance(q, g))
+        f = embed_dataset(model, ds, i)
+        sims.append(1.0 - cosine_distance(f[q], f[g]))
     np.testing.assert_allclose(
         1.0 - d_fused, sum(sims) / 3.0, rtol=0, atol=1e-12)
 
@@ -523,20 +532,20 @@ def test_unicat_fused_similarity_is_mean_of_stream_similarities():
 def test_eval_multimodal_single_stream_degenerates_to_unimodal():
     ds = _tiny_ds(m=1)
     model = _trained(ds, Strategy.UNICAT, epochs=2)
-    multi = eval_multimodal(model, ds)
-    uni = eval_unimodal(model, ds, 0)
+    multi = _score(model, ds)
+    uni = _score(model, ds, 0)
     assert multi.map == uni.map
     np.testing.assert_array_equal(multi.cmc, uni.cmc)
 
 
 def test_training_beats_untrained_features():
     ds = _tiny_ds(sigma=0.3, ids_train=8, ids_test=6, views=6)
-    trained_map = eval_multimodal(_trained(ds, epochs=25), ds).map
+    trained_map = _score(_trained(ds, epochs=25), ds).map
     # epochs=1 at lr ~ 0: parameters stay at initialization
     fresh_cfg = TrainConfig(strategy=Strategy.UNICAT, p=3, k=2, lr_base=1e-12,
                             momentum=0.0, epochs=1, warmup_epochs=0,
                             hidden_dims=(8,), embed_dim=4, seed=0)
-    untrained_map = eval_multimodal(train(ds, fresh_cfg).model, ds).map
+    untrained_map = _score(train(ds, fresh_cfg).model, ds).map
     assert trained_map > untrained_map
 
 
@@ -546,7 +555,7 @@ def test_eval_trainset_perfect_when_noiseless():
         views_per_id=4, noise_sigma=0.0, view_jitter=0.0, seed=0,
     ))
     model = _trained(ds, epochs=2)
-    rep = eval_trainset(model, ds, 0)
+    rep = _score(model, trainset_view(ds), 0)
     assert rep.map == 1.0  # all views of an id are identical
     assert rep.rank1 == 1.0
 
@@ -569,10 +578,17 @@ def test_trainset_view_protocol_and_determinism():
 def test_evaluate_sets_runs_validation():
     ds = _tiny_ds()
     model = _trained(ds)
-    q, g = embedding_sets(model, ds, 0)
-    bad_q = EmbeddingSet(np.zeros_like(q.features), q.ids, q.view_ids, "query")
-    with pytest.raises(DataError):
-        evaluate_sets(bad_q, g)
+    f = embed_dataset(model, ds, 0)
+    with pytest.raises(DataError, match="zero-norm"):
+        evaluate(ds, np.zeros_like(f))
+    with pytest.raises(DataError, match="empty query or gallery split"):
+        evaluate(ds.take(ds.train_rows), f[ds.train_rows])
+    with pytest.raises(ShapeError):
+        evaluate(ds, f[:, 0])
+    # Train rows are not read: a non-finite one changes nothing.
+    g = f.copy()
+    g[ds.train_rows] = np.nan
+    assert report_csv(evaluate(ds, g)) == report_csv(evaluate(ds, f))
 
 
 # -------------------------------------------------------------------- suite

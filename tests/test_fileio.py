@@ -23,6 +23,7 @@ from reidlab.fileio import (
     write_run_record,
     write_text,
 )
+from reidlab import model as model_module
 from reidlab.model import load_checkpoint, save_checkpoint
 from reidlab.objectives import Strategy
 from reidlab.pipeline import TrainConfig, config_hash, train
@@ -252,6 +253,20 @@ def test_failed_replace_leaves_no_partial_file(tmp_path, monkeypatch, writer):
     write(kept / "f", 1)
     new = {p.name: p.read_bytes() for p in kept.iterdir()}
     assert new.keys() == old.keys() and new != old
+
+
+def test_failed_checkpoint_write_leaves_the_whole_old_run_record(tmp_path, monkeypatch):
+    write_run_record(_tiny_run(0), tmp_path)
+    old = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(old) == ["checkpoint.bin", "config.json", "loss_curve.csv"]
+
+    def refuse(params, path):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(model_module, "save_checkpoint", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        write_run_record(_tiny_run(1), tmp_path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == old
 
 
 def test_atomic_write_error_mid_write_keeps_old_bytes(tmp_path):

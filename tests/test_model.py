@@ -297,9 +297,6 @@ def test_embed_dataset_selectors_and_errors():
     assert feats.shape == (ds.num_samples, 8)
     uni = embed_dataset(model, ds, 0)
     assert uni.shape == (ds.num_samples, 4)
-    rows = ds.query_rows
-    sub = embed_dataset(model, ds, 0, rows=rows)
-    assert np.array_equal(sub, uni[rows])
     with pytest.raises(DataError):
         embed_dataset(model, ds, 2)
     with pytest.raises(DataError):

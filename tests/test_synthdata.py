@@ -37,7 +37,6 @@ def test_config_broadcasting_and_validation():
     cfg = _cfg(obs_dim=8, noise_sigma=(0.1, 0.2))
     assert cfg.obs_dim == (8, 8)
     assert cfg.noise_sigma == (0.1, 0.2)
-    assert cfg.feature_dims() == (8, 8)
     with pytest.raises(ConfigError):
         _cfg(noise_sigma=(0.1, 0.2, 0.3))  # wrong per-modality length
     with pytest.raises(ConfigError):
@@ -160,6 +159,35 @@ def test_split_query_gallery_counts_and_seeding():
         split_query_gallery(ds, views_as_query=4, rng=Rng(0))
     with pytest.raises(ConfigError):
         split_query_gallery(ds, views_as_query=0, rng=Rng(0))
+
+
+def test_split_query_gallery_default_is_a_quarter_of_the_fewest_views():
+    def dataset(views_per_id, train_id):
+        ids = np.repeat(np.arange(len(views_per_id)), views_per_id)
+        split = np.where(ids == train_id, SPLIT_TRAIN, SPLIT_GALLERY).astype(np.int8)
+        return MultimodalDataset(features=[np.zeros((ids.size, 1))], ids=ids,
+                                 view_ids=np.arange(ids.size), split=split, modality_names=["m"])
+
+    # Only the rows being split count; fewer than 4 views still give 1.
+    for views_per_id, train_id, want in (([9, 5, 11, 3], 3, 1), ([9, 11, 3], 2, 2), ([9, 11, 3], -1, 1)):
+        ds = dataset(views_per_id, train_id)
+        got = split_query_gallery(ds, None, Rng(3).split("q")).split
+        assert got.tobytes() == split_query_gallery(ds, want, Rng(3).split("q")).split.tobytes()
+
+
+def test_take_selects_rows_in_order():
+    ds = generate(_cfg(views_per_id=4))
+    rows = np.array([5, 0, 3])
+    sub = ds.take(rows)
+    assert [x.tobytes() for x in sub.features] == [x[rows].tobytes() for x in ds.features]
+    assert sub.ids.tolist() == ds.ids[rows].tolist()
+    assert sub.view_ids.tolist() == ds.view_ids[rows].tolist()
+    assert sub.split.tolist() == ds.split[rows].tolist()
+    assert sub.modality_names == ds.modality_names
+    sub.split[:] = SPLIT_QUERY
+    assert not np.any(ds.split[rows] == SPLIT_QUERY)  # a copy
+    mask = ds.split != SPLIT_TRAIN
+    assert ds.take(mask).ids.tolist() == ds.ids[mask].tolist()
 
 
 def test_split_query_gallery_equals_per_identity_scan():
