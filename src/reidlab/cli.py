@@ -166,18 +166,6 @@ def _checkpoint_evals(args, cfg: dict, opts: EvalOptions) -> tuple:
     """(view, [(name, features), ...], summary head, report kind) for a checkpoint."""
     model = load_checkpoint(args.checkpoint)
     ds, source = _load_or_generate(cfg)
-    if ds.num_modalities != model.num_streams:
-        raise DataError(
-            f"checkpoint has {model.num_streams} streams but dataset has "
-            f"{ds.num_modalities} modalities"
-        )
-    for i, s in enumerate(model.streams):
-        want = s.weights[0].shape[1]
-        have = ds.features[i].shape[1]
-        if want != have:
-            raise DataError(
-                f"stream {i} expects input dim {want}, dataset modality has {have}"
-            )
     if args.trainset:
         view = trainset_view(ds, opts.views_as_query, opts.seed)
     else:

@@ -75,42 +75,17 @@ def _unit_rows(q, g) -> tuple[Matrix, Matrix]:
     return unit[0], unit[1]
 
 
-def cosine_distance(q, g) -> Matrix:
-    """D[i, j] = 1 - <q_i, g_j> / (||q_i|| ||g_j||), clipped to [0, 2]."""
-    uq, ug = _unit_rows(q, g)
-    d = matmul(uq, ug.T)
+def _distances_of_dots(d: Matrix) -> Matrix:
+    """Cosine distances clip(1 - d, 0, 2) of the unit-row dot products d,
+    computed in place."""
     np.subtract(1.0, d, out=d)
     return np.clip(d, 0.0, 2.0, out=d)
 
 
-def _screen_tolerance(uq: Matrix, ug: Matrix) -> float:
-    """A bound tau on |np.dot distance - cosine_distance| over all pairs of
-    rows of the unit-row matrices uq and ug.
-
-    - A float64 dot product of length k, summed in any order, with or
-      without FMA, is within gamma_k * sum_t |u_t v_t| <= gamma_k ||u|| ||v||
-      of the true dot, gamma_k = k 2^-53 / (1 - k 2^-53) (Higham, Accuracy
-      and Stability of Numerical Algorithms, 2nd ed., section 3.1). This
-      holds for matmul's fixed order and for any BLAS.
-    - A BLAS that flushes subnormal results to zero loses less than
-      2^-1022 at each of its fewer than 2k operations: under 4k 2^-1022 in
-      all, with the growth of later roundings.
-    - The computed unit rows are not exactly unit. ||u||^2 is a dot product
-      too, so it is at most (s + 4k 2^-1022) / (1 - gamma_k) for the
-      computed sum of squares s; the largest row's bound is taken.
-    - 1 - x rounds within 2^-53 when the result lies in [0, 2] (2^-52 is
-      taken), a result outside [0, 2] clips to the same bound as its true
-      value, and clip is 1-Lipschitz.
-
-    So each of the two distances is within gamma_k ||u|| ||v|| + 4k 2^-1022
-    + 2^-52 of clip(1 - true dot), and they are within twice that of each
-    other. The factor 1 + 2^-49 covers the roundings of this formula.
-    """
-    k = uq.shape[1]
-    gamma = k * 2.0**-53 / (1.0 - k * 2.0**-53)
-    flush = 4.0 * k * 2.0**-1022
-    sq = [(np.max(np.sum(u * u, axis=1), initial=0.0) + flush) / (1.0 - gamma) for u in (uq, ug)]
-    return 2.0 * (gamma * math.sqrt(sq[0] * sq[1]) + flush + 2.0**-52) * (1.0 + 2.0**-49)
+def cosine_distance(q, g) -> Matrix:
+    """D[i, j] = 1 - <q_i, g_j> / (||q_i|| ||g_j||), clipped to [0, 2]."""
+    uq, ug = _unit_rows(q, g)
+    return _distances_of_dots(matmul(uq, ug.T))
 
 
 # Queries are ranked a block of rows at a time; the block's (rows x gallery)
@@ -121,56 +96,45 @@ _RANK_BLOCK_CELLS = 1 << 16
 
 
 def _band_offsets(
-    approx: np.ndarray,
+    row: np.ndarray,
     kept: np.ndarray,
     rel: np.ndarray,
-    rel_dist: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
+    dist: np.ndarray,
     closer: np.ndarray,
-    near: np.ndarray,
-    exact_at,
+    tied: np.ndarray,
 ) -> np.ndarray:
     """What to add to the slot positions closer + arange(r) of one query's
     relevant entries to get their ranks, for a query with a kept entry
-    inside some relevant entry's window.
+    tied with one of them.
 
-    approx holds the query's distances, each within tau of the exact one;
-    kept masks the kept non-relevant entries; rel holds the relevant
-    gallery indices, ascending, rel_dist their exact distances, and
-    exact_at(cols) gives the exact distances at gallery indices cols.
-    lower, upper, closer and near follow the relevant entries in ascending
-    exact distance: window edges, the kept entries below the window, and
-    whether a kept entry lies inside it.
-
-    Only entries near some relevant entry's window get exact distances,
-    and they are ranked by one sort of (exact distance, gallery index)
-    keys.
+    row holds the query's distances; kept masks the kept non-relevant
+    entries; rel holds the relevant gallery indices, ascending. dist,
+    closer and tied follow the relevant entries in ascending distance:
+    their distances, the kept entries closer than each, and whether a kept
+    entry ties with it. Only ties need gallery indices, so only the
+    entries from the lowest tied distance to the highest are ranked, by
+    one sort of (distance, gallery index) keys.
     """
-    # The band: every kept entry from the lowest occupied window to the
-    # highest. It spans the sorted slots start .. start + band.size - 1, and
-    # an entry outside it lies outside every occupied window, so its approx
-    # distance orders it against each relevant entry.
-    occupied = np.flatnonzero(near)
-    first, last = occupied[0], occupied[-1]
-    band = np.flatnonzero(kept & (approx >= lower[first]) & (approx <= upper[last]))
+    # The band spans the sorted slots start .. start + band.size - 1; an
+    # entry outside it is closer or farther than every tied relevant entry.
+    tied_at = np.flatnonzero(tied)
+    first, last = tied_at[0], tied_at[-1]
+    band = np.flatnonzero(kept & (row >= dist[first]) & (row <= dist[last]))
     start = closer[first]
-    ranks = np.unique(np.concatenate([exact_at(band), rel_dist]), return_inverse=True)[1]
-    # Keys (exact distance rank, gallery index, 1 if relevant), sorted.
-    keys = (ranks * approx.size + np.concatenate([band, rel])) * 2
+    ranks = np.unique(np.concatenate([row[band], row[rel]]), return_inverse=True)[1]
+    # Keys (distance rank, gallery index, 1 if relevant), sorted.
+    keys = (ranks * row.size + np.concatenate([band, rel])) * 2
     keys[band.size :] += 1
     keys.sort()
     is_rel = (keys & 1).astype(bool)
     # Band entries ahead of each relevant entry, less those that closer
-    # already counted below its window.
+    # already counted.
     return np.cumsum(~is_rel)[is_rel] - np.clip(closer - start, 0, band.size)
 
 
 def _rank_queries(
     shape: tuple,
-    approx_rows,
-    exact,
-    tau: float,
+    distance_rows,
     q_ids: np.ndarray,
     g_ids: np.ndarray,
     q_views: Optional[np.ndarray],
@@ -180,22 +144,16 @@ def _rank_queries(
 ) -> RetrievalReport:
     """The ranking core of cmc_map and evaluate.
 
-    approx_rows(rows) gives the distances of a slice of query rows to the
-    whole gallery, each within tau of the exact distance; exact(rows, cols)
-    gives the exact distances at those rows and gallery indices. The report
-    is the one cmc_map gives for the exact distance matrix of this shape.
+    distance_rows(rows) gives the rows at a slice of query rows of the
+    query x gallery distance matrix of this shape.
 
-    The rank of a relevant entry at exact distance d counts the relevant
-    entries ahead of it in (distance, index) order and the kept
-    non-relevant entries closer than d or at d with a lower index. A kept
-    entry whose approx distance lies below d - tau is surely closer, and
-    one above d + tau surely farther. So if no kept entry lies in any
-    relevant entry's window [d - tau, d + tau], the relevant entry in
-    slot s of its query's ascending exact distances has rank
-    closer + s, closer being the kept entries below its window. Rows are
-    ranked that way a block at a time; only a query with a kept entry
-    in some window goes through _band_offsets. With tau = 0 and exact
-    distances, a window holds the entries tied with its relevant entry.
+    The rank of a relevant entry at distance d counts the relevant entries
+    ahead of it in (distance, index) order and the kept non-relevant
+    entries closer than d or at d with a lower index. If no kept entry
+    ties with any relevant entry of its query, the relevant entry in slot
+    s of that query's ascending distances has rank closer + s, closer
+    being the kept entries below it. Rows are ranked that way a block at a
+    time; only a query with such a tie goes through _band_offsets.
     """
     q_ids = np.asarray(q_ids)
     g_ids = np.asarray(g_ids)
@@ -224,37 +182,31 @@ def _rank_queries(
         relevant = same_id
         if exclude_same_view:
             relevant = same_id & (g_views[None, :] != q_views[rows, None])
-        approx = approx_rows(rows)
+        d = distance_rows(rows)
         # Each row's non-relevant kept distances, sorted; relevant and junk
         # entries are pushed past every finite distance.
-        others = np.where(same_id, np.inf, approx)
+        others = np.where(same_id, np.inf, d)
         others.sort(axis=1)
         cols = np.flatnonzero(relevant.any(axis=0))
-        rel_exact = exact(rows, cols)
         rel_in_cols = relevant[:, cols]
         count = np.count_nonzero(rel_in_cols, axis=1)
-        # Each row's relevant exact distances, ascending, in its first
-        # count slots; the slots after them hold +inf and are masked out.
-        dist = np.where(rel_in_cols, rel_exact, np.inf)
+        # Each row's relevant distances, ascending, in its first count
+        # slots; the slots after them hold +inf and are masked out.
+        dist = np.where(rel_in_cols, d[:, cols], np.inf)
         dist.sort(axis=1)
         dist = dist[:, : count.max(initial=0)]
         slot = np.arange(dist.shape[1])
         valid = slot < count[:, None]
-        # A float below fl(d - tau) is below d - tau, and one above
-        # fl(d + tau) above d + tau, so rounding the window edges loses
-        # nothing.
-        lower, upper = dist - tau, dist + tau
-        closer = np.array([o.searchsorted(lo, "left") for o, lo in zip(others, lower)])
+        closer = np.array([o.searchsorted(x, "left") for o, x in zip(others, dist)])
         pos = closer + slot
         # At a valid slot others[closer] exists: others ends with an +inf
-        # per same-id entry, and the row has one.
-        near = valid & (np.take_along_axis(others, np.minimum(closer, ng - 1), axis=1) <= upper)
-        for b in np.flatnonzero(near.any(axis=1)):
-            i, r, mask = start + b, count[b], rel_in_cols[b]
+        # per same-id entry, and the row has one. It is the first kept
+        # entry not closer, so a kept entry ties when it equals.
+        tied = valid & (np.take_along_axis(others, np.minimum(closer, ng - 1), axis=1) == dist)
+        for b in np.flatnonzero(tied.any(axis=1)):
+            r = count[b]
             pos[b, :r] += _band_offsets(
-                approx[b], ~same_id[b], cols[mask], rel_exact[b, mask],
-                lower[b, :r], upper[b, :r], closer[b, :r], near[b, :r],
-                lambda band: exact(slice(i, i + 1), band)[0],
+                d[b], ~same_id[b], cols[rel_in_cols[b]], dist[b, :r], closer[b, :r], tied[b, :r]
             )
         # AP is the mean over the r relevant entries of k / (rank_k + 1).
         # Each row's sum runs over exactly its r terms, the same pairwise
@@ -305,7 +257,7 @@ def cmc_map(
     """
     d = as_matrix(d, "distance matrix")
     return _rank_queries(
-        d.shape, lambda rows: d[rows], lambda rows, cols: d[rows, cols], 0.0,
+        d.shape, lambda rows: d[rows],
         q_ids, g_ids, q_views, g_views, exclude_same_view, max_rank,
     )
 
@@ -321,12 +273,8 @@ def evaluate(
 
     The report is that of cmc_map(cosine_distance(features[q], features[g]),
     ...) for the query rows q and gallery rows g, byte for byte, without
-    forming the query x gallery distance matrix. Each block of query rows
-    is screened with np.dot distances of the unit rows, which any BLAS
-    computes within _screen_tolerance of cosine_distance's. The relevant
-    entries, and the non-relevant entries within that tolerance of one,
-    get their exact distances from cosine_distance on just those rows and
-    columns.
+    forming the query x gallery distance matrix: each block of query rows
+    gets its distances from matmul on the unit rows, computed once.
     """
     features = np.asarray(features)
     if features.ndim != 2 or features.shape[0] != ds.num_samples:
@@ -338,17 +286,15 @@ def evaluate(
     if not (np.all(np.isfinite(uq)) and np.all(np.isfinite(ug))):
         # A NaN or inf feature makes every distance of its row NaN.
         raise NumericError("distance matrix contains non-finite entries")
-
-    def approx_rows(rows: slice) -> Matrix:
-        a = np.dot(uq[rows], ug.T)
-        np.subtract(1.0, a, out=a)
-        return np.clip(a, 0.0, 2.0, out=a)
-
+    # A block's products are taken as matmul(ug, uq[rows].T), transposed:
+    # each cell sums the same products in the same order, so it has the
+    # bits of the whole product. The compiled kernel reads its right operand
+    # once per four rows of the left one; as that operand the gallery (3 MB
+    # at 4000 rows of dim 96) spills a 2 MB L2, and evaluate ran 25 % slower
+    # at eval-gallery's size (Xeon, AVX-512).
     return _rank_queries(
         (uq.shape[0], ug.shape[0]),
-        approx_rows,
-        lambda rows, cols: cosine_distance(features[q_rows[rows]], features[g_rows[cols]]),
-        _screen_tolerance(uq, ug),
+        lambda rows: _distances_of_dots(matmul(ug, uq[rows].T)).T,
         ds.ids[q_rows], ds.ids[g_rows], ds.view_ids[q_rows], ds.view_ids[g_rows],
         exclude_same_view, max_rank,
     )

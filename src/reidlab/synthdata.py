@@ -237,13 +237,7 @@ def split_query_gallery(
         perm = rng.permutation(rows.size)
         split[rows[perm[:views_as_query]]] = SPLIT_QUERY
         split[rows[perm[views_as_query:]]] = SPLIT_GALLERY
-    return MultimodalDataset(
-        features=ds.features,
-        ids=ds.ids,
-        view_ids=ds.view_ids,
-        split=split,
-        modality_names=list(ds.modality_names),
-    )
+    return replace(ds, split=split, modality_names=list(ds.modality_names))
 
 
 def select_modalities(ds: MultimodalDataset, indices: Sequence[int]) -> MultimodalDataset:
@@ -251,11 +245,9 @@ def select_modalities(ds: MultimodalDataset, indices: Sequence[int]) -> Multimod
     for i in indices:
         if i < 0 or i >= ds.num_modalities:
             raise DataError(f"modality index {i} out of range [0, {ds.num_modalities})")
-    return MultimodalDataset(
+    return replace(
+        ds,
         features=[ds.features[i] for i in indices],
-        ids=ds.ids,
-        view_ids=ds.view_ids,
-        split=ds.split,
         modality_names=[ds.modality_names[i] for i in indices],
     )
 
@@ -274,11 +266,9 @@ def replicate_modality(ds: MultimodalDataset, modality_index: int, copies: int) 
     if copies < 2:
         raise ConfigError(f"copies must be >= 2, got {copies}")
     base = ds.modality_names[modality_index]
-    return MultimodalDataset(
+    return replace(
+        ds,
         features=[ds.features[modality_index] for _ in range(copies)],
-        ids=ds.ids,
-        view_ids=ds.view_ids,
-        split=ds.split,
         modality_names=[f"{base}.copy{j}" for j in range(copies)],
     )
 

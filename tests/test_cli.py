@@ -458,12 +458,19 @@ def test_eval_trainset_mode_and_rerun_identical(tmp_path):
         assert p.read_bytes() == (out2 / p.name).read_bytes()
 
 
-def test_eval_dim_mismatch_is_data_error(tmp_path):
+def test_eval_dim_mismatch_is_data_error(tmp_path, capsys):
     cfg, run = _trained_dir(tmp_path)
-    other = _config(tmp_path, "other.yaml", data=dict(TINY_DATA, num_modalities=1))
-    code = main(["eval", "-c", str(other), "--checkpoint", str(run / "checkpoint.bin"),
-                 "-o", str(tmp_path / "x")])
-    assert code == 3
+    # embed_dataset and stream_forward reject both, as shape errors.
+    mismatches = {
+        "num_modalities": (1, "dataset has 1 modalities, model has 2 streams"),
+        "obs_dim": (7, "input dim 7 does not match stream input dim 6"),
+    }
+    for key, (value, message) in mismatches.items():
+        other = _config(tmp_path, f"other_{key}.yaml", data=dict(TINY_DATA, **{key: value}))
+        code = main(["eval", "-c", str(other), "--checkpoint", str(run / "checkpoint.bin"),
+                     "-o", str(tmp_path / "x")])
+        assert code == 3, key
+        assert message in capsys.readouterr().err, key
     assert main(["eval", "-c", str(cfg), "-o", str(tmp_path / "y")]) == 2  # no checkpoint
 
 
@@ -588,7 +595,7 @@ EVAL_SHA256 = {
 }
 
 
-def test_eval_and_grid_bytes_pinned(tmp_path, monkeypatch):
+def test_eval_and_grid_bytes_pinned(tmp_path, monkeypatch, matmul_kernel):
     # Paths are relative to tmp_path, so the summaries that name them repeat.
     monkeypatch.chdir(tmp_path)
 

@@ -1,4 +1,3 @@
-import math
 import time
 import tracemalloc
 
@@ -305,19 +304,23 @@ def test_cmc_map_single_identity_not_slower_than_full_argsort():
         (np.round(d, 2), np.repeat(np.arange(2), 500), np.repeat(np.arange(2), 2000)),
     ]
 
-    def best_of(fn, d, ids_q, ids_g, repeats=2):
-        times = []
+    def best_of_each(case, repeats=5):
+        # Alternating the two keeps a busy spell of the host from landing
+        # on one side only.
+        times = {cmc_map: [], argsort_cmc_map: []}
         for _ in range(repeats):
-            t0 = time.perf_counter()
-            fn(d, ids_q, ids_g)
-            times.append(time.perf_counter() - t0)
-        return min(times)
+            for fn, spent in times.items():
+                t0 = time.perf_counter()
+                fn(*case)
+                spent.append(time.perf_counter() - t0)
+        return min(times[cmc_map]), min(times[argsort_cmc_map])
 
     for case in cases:
-        assert best_of(cmc_map, *case) <= 2.0 * best_of(argsort_cmc_map, *case)
+        ours, full_argsort = best_of_each(case)
+        assert ours <= 2.0 * full_argsort
 
 
-# ----------------------------------------------------- evaluate screening
+# ----------------------------------------------------------------- evaluate
 
 def _report_bytes(run, q_ids):
     """What the report run() returns writes (report_csv, CMC bytes, skipped
@@ -344,7 +347,7 @@ def _exact_report_bytes(ds, f, excl=False, max_rank=50):
         excl, max_rank), ds.ids[q])
 
 
-def _screened_report_bytes(ds, f, excl=False, max_rank=50):
+def _evaluate_report_bytes(ds, f, excl=False, max_rank=50):
     return _report_bytes(lambda: evaluate(ds, f, excl, max_rank), ds.ids[ds.query_rows])
 
 
@@ -386,13 +389,12 @@ def _adversarial_sets(rng, case):
     return _retrieval_ds(f, ids, views, np.arange(nq + ng) < nq), f, kinds
 
 
-def test_evaluate_sets_bytes_equal_exact_matrix_ranking(monkeypatch):
-    # evaluate calls cosine_distance once per query block (one block here)
-    # and once per query row that has entries in its band.
-    exact_calls = []
-    real_cosine_distance = evalkit.cosine_distance
-    monkeypatch.setattr(evalkit, "cosine_distance",
-                        lambda a, b: exact_calls.append(1) or real_cosine_distance(a, b))
+def test_evaluate_bytes_equal_exact_matrix_ranking(monkeypatch, matmul_kernel):
+    # Rows whose relevant entries tie with non-relevant ones take the band step.
+    band_calls = []
+    real_band_offsets = evalkit._band_offsets
+    monkeypatch.setattr(evalkit, "_band_offsets",
+                        lambda *args: band_calls.append(1) or real_band_offsets(*args))
     rng = np.random.default_rng(31)
     seen = dict.fromkeys(
         ["duplicate", "scaled", "ulp", "rounded", "scale 1e-160", "scale 1e+150", "dim 1",
@@ -404,8 +406,8 @@ def test_evaluate_sets_bytes_equal_exact_matrix_ranking(monkeypatch):
         excl = bool(case % 2)
         max_rank = int(rng.integers(1, ng + 5))
         want = _exact_report_bytes(ds, f, excl, max_rank)
-        exact_calls.clear()
-        assert _screened_report_bytes(ds, f, excl, max_rank) == want, case
+        band_calls.clear()
+        assert _evaluate_report_bytes(ds, f, excl, max_rank) == want, case
         for kind in kinds:
             seen[kind] += 1
         seen["dim 1"] += int(f.shape[1] == 1)
@@ -413,48 +415,12 @@ def test_evaluate_sets_bytes_equal_exact_matrix_ranking(monkeypatch):
         seen["single gallery"] += int(ng == 1)
         seen["excl"] += int(excl)
         seen["max_rank > ng"] += int(max_rank > ng)
-        seen["band"] += int(len(exact_calls) > 1)
+        seen["band"] += int(len(band_calls) > 0)
         if isinstance(want[0], str):
             seen["reports"] += 1
             seen["skipped"] += int(want[2] > 0)
     assert all(count >= 3 for count in seen.values()), seen
     assert seen["reports"] >= 200, seen
-
-
-def _at_most_tau_away(approx, exact, tau):
-    """approx, each entry moved toward exact by one ulp at a time until
-    |approx - exact| <= tau holds in exact arithmetic (math.fsum rounds
-    the three-term sum once, so its sign is exact)."""
-    out = approx.copy()
-    for idx, e in np.ndenumerate(exact):
-        a = out[idx]
-        while math.fsum([a, -e, -tau]) > 0 or math.fsum([e, -a, -tau]) > 0:
-            a = np.nextafter(a, e)
-        out[idx] = a
-    return out
-
-
-def test_ranking_core_exact_with_injected_error_up_to_tau():
-    rng = np.random.default_rng(17)
-    for case in range(80):
-        nq, ng = int(rng.integers(1, 12)), int(rng.integers(1, 40))
-        d = np.round(rng.uniform(0.0, 2.0, size=(nq, ng)), int(rng.integers(1, 3)))
-        tau = (2e-15, 1e-3, 0.02, 0.3)[case % 4]
-        if case % 8 < 4:  # exactly at the bound
-            err = tau * rng.choice([-1.0, 1.0], size=d.shape)
-        else:  # anywhere inside it
-            err = tau * rng.uniform(-1.0, 1.0, size=d.shape)
-        approx = _at_most_tau_away(d + err, d, tau)
-        q_ids, g_ids = rng.integers(0, 4, size=nq), rng.integers(0, 4, size=ng)
-        q_views, g_views = rng.integers(0, 3, size=nq), rng.integers(0, 3, size=ng)
-        excl = bool(case % 3 == 0)
-        max_rank = int(rng.integers(1, ng + 5))
-        want = _report_bytes(lambda: cmc_map(
-            d, q_ids, g_ids, q_views, g_views, excl, max_rank), q_ids)
-        got = _report_bytes(lambda: evalkit._rank_queries(
-            d.shape, lambda rows: approx[rows], lambda rows, cols: d[rows, cols], tau,
-            q_ids, g_ids, q_views, g_views, excl, max_rank), q_ids)
-        assert got == want, case
 
 
 def _gallery_sets_1000x4000(seed, dim=32):
@@ -493,7 +459,7 @@ def test_evaluate_sets_rejects_bad_features_as_exact_path(side, value):
         want = (NumericError, "distance matrix contains non-finite entries")
     with np.errstate(invalid="ignore"):
         assert _exact_report_bytes(ds, f) == want
-        assert _screened_report_bytes(ds, f) == want
+        assert _evaluate_report_bytes(ds, f) == want
 
 
 # ------------------------------------------------------- model-based evals
