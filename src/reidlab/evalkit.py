@@ -58,21 +58,32 @@ class RetrievalReport:
     num_skipped_queries: int
 
 
-def _unit_rows(q, g) -> tuple[Matrix, Matrix]:
-    """Query and gallery rows scaled to unit length, as float64: the
-    operands of every cosine distance. A NaN or inf feature is kept: it
-    makes its row's distances NaN, which cmc_map rejects."""
-    qf = as_matrix(q, "query embeddings", check_finite=False)
-    gf = as_matrix(g, "gallery embeddings", check_finite=False)
-    if qf.shape[1] != gf.shape[1]:
-        raise ShapeError(f"feature dims differ: query {qf.shape[1]} vs gallery {gf.shape[1]}")
-    unit = []
-    for name, f in (("query", qf), ("gallery", gf)):
-        norms = np.sqrt(np.sum(f * f, axis=1))
+# Queries are ranked a block of rows at a time; the block's (rows x gallery)
+# arrays hold at most this many cells each (512 KiB of float64): its
+# distances, its near mask (one byte a cell), and its near set's positions
+# and distances (at most one entry a cell each). 2^18 cells added about
+# 2 MB to the peak RSS of a repro run, and was no faster on 1000 x 4000.
+_RANK_BLOCK_CELLS = 1 << 16
+
+
+def _unit_rows(f: Matrix, name: str) -> Matrix:
+    """Scale the rows of f, a C-contiguous float64 matrix that the caller
+    owns, to unit length in place, and return it: the operands of every
+    cosine distance. A NaN or inf feature is kept: it makes its row's
+    distances NaN, which cmc_map rejects.
+
+    Squares and norms are taken a block of rows at a time, so no
+    temporary is the size of f; each row's squares are summed by the same
+    np.sum over that row as for the whole matrix, so the bits do not change.
+    """
+    step = max(1, _RANK_BLOCK_CELLS // max(f.shape[1], 1))
+    for start in range(0, f.shape[0], step):
+        block = f[start : start + step]
+        norms = np.sqrt(np.sum(block * block, axis=1))
         if np.any(norms == 0):
             raise DataError(f"{name} embeddings contain a zero-norm row; cosine undefined")
-        unit.append(np.asarray(f / norms[:, None], dtype=np.float64))
-    return unit[0], unit[1]
+        block /= norms[:, None]
+    return f
 
 
 def _distances_of_dots(d: Matrix) -> Matrix:
@@ -84,42 +95,41 @@ def _distances_of_dots(d: Matrix) -> Matrix:
 
 def cosine_distance(q, g) -> Matrix:
     """D[i, j] = 1 - <q_i, g_j> / (||q_i|| ||g_j||), clipped to [0, 2]."""
-    uq, ug = _unit_rows(q, g)
+    qf = as_matrix(q, "query embeddings", check_finite=False)
+    gf = as_matrix(g, "gallery embeddings", check_finite=False)
+    if qf.shape[1] != gf.shape[1]:
+        raise ShapeError(f"feature dims differ: query {qf.shape[1]} vs gallery {gf.shape[1]}")
+    # as_matrix may return the caller's own array: scale copies.
+    uq, ug = _unit_rows(qf.copy(), "query"), _unit_rows(gf.copy(), "gallery")
     return _distances_of_dots(matmul(uq, ug.T))
-
-
-# Queries are ranked a block of rows at a time; the block's (rows x gallery)
-# temporaries hold at most this many cells per array (512 KiB of float64).
-# A block holds a few such arrays at once: 2^18 cells added about 2 MB to
-# the peak RSS of a repro run, and was no faster on 1000 x 4000.
-_RANK_BLOCK_CELLS = 1 << 16
 
 
 def _band_offsets(
     row: np.ndarray,
-    kept: np.ndarray,
+    near: np.ndarray,
     rel: np.ndarray,
     dist: np.ndarray,
     closer: np.ndarray,
     tied: np.ndarray,
 ) -> np.ndarray:
     """What to add to the slot positions closer + arange(r) of one query's
-    relevant entries to get their ranks, for a query with a kept entry
+    relevant entries to get their ranks, for a query with a near entry
     tied with one of them.
 
-    row holds the query's distances; kept masks the kept non-relevant
-    entries; rel holds the relevant gallery indices, ascending. dist,
-    closer and tied follow the relevant entries in ascending distance:
-    their distances, the kept entries closer than each, and whether a kept
-    entry ties with it. Only ties need gallery indices, so only the
-    entries from the lowest tied distance to the highest are ranked, by
-    one sort of (distance, gallery index) keys.
+    row holds the query's distances; near masks its near set, the kept
+    non-relevant entries at or below its farthest relevant distance; rel
+    holds the relevant gallery indices. dist, closer and tied follow the
+    relevant entries in ascending distance: their distances, the near
+    entries closer than each, and whether a near entry ties with it. Only
+    ties need gallery indices, so only the entries from the lowest tied
+    distance to the highest are ranked, by one sort of (distance, gallery
+    index) keys.
     """
     # The band spans the sorted slots start .. start + band.size - 1; an
     # entry outside it is closer or farther than every tied relevant entry.
     tied_at = np.flatnonzero(tied)
     first, last = tied_at[0], tied_at[-1]
-    band = np.flatnonzero(kept & (row >= dist[first]) & (row <= dist[last]))
+    band = np.flatnonzero(near & (row >= dist[first]) & (row <= dist[last]))
     start = closer[first]
     ranks = np.unique(np.concatenate([row[band], row[rel]]), return_inverse=True)[1]
     # Keys (distance rank, gallery index, 1 if relevant), sorted.
@@ -145,15 +155,19 @@ def _rank_queries(
     """The ranking core of cmc_map and evaluate.
 
     distance_rows(rows) gives the rows at a slice of query rows of the
-    query x gallery distance matrix of this shape.
+    query x gallery distance matrix of this shape, C-contiguous; they are
+    only read.
 
     The rank of a relevant entry at distance d counts the relevant entries
     ahead of it in (distance, index) order and the kept non-relevant
-    entries closer than d or at d with a lower index. If no kept entry
-    ties with any relevant entry of its query, the relevant entry in slot
-    s of that query's ascending distances has rank closer + s, closer
-    being the kept entries below it. Rows are ranked that way a block at a
-    time; only a query with such a tie goes through _band_offsets.
+    entries closer than d or at d with a lower index. Those kept entries
+    lie at or below the query's farthest relevant distance: its near set.
+    Only the near set is sorted, so the work per query follows its size,
+    not the gallery's. If no near entry ties with any relevant entry of
+    its query, the relevant entry in slot s of that query's ascending
+    distances has rank closer + s, closer being the near entries below it.
+    Rows are ranked that way a block at a time; only a query with such a
+    tie goes through _band_offsets.
     """
     q_ids = np.asarray(q_ids)
     g_ids = np.asarray(g_ids)
@@ -173,40 +187,65 @@ def _rank_queries(
             raise ShapeError(
                 f"distance matrix {shape} does not match {q_views.shape} query views / {g_views.shape} gallery views"
             )
+    # Query i's same-id gallery columns are by_id[lo[i] : lo[i] + num_same[i]],
+    # ascending.
+    by_id = np.argsort(g_ids, kind="stable")
+    sorted_ids = g_ids[by_id]
+    lo = np.searchsorted(sorted_ids, q_ids, "left")
+    num_same = np.searchsorted(sorted_ids, q_ids, "right") - lo
     per_query_ap = np.full(nq, np.nan)
     first_match_rank = np.zeros(nq, dtype=np.int64)  # 0 = skipped
     step = max(1, _RANK_BLOCK_CELLS // max(ng, 1))
     for start in range(0, nq, step):
         rows = slice(start, start + step)
-        same_id = g_ids[None, :] == q_ids[rows, None]
-        relevant = same_id
+        # The block's same-id entries (pair_row, pair_col), row by row, and
+        # the relevant ones among them; the others are junk. The j-th entry
+        # of row i is column by_id[lo[i] + j].
+        n_same = num_same[rows]
+        pair_row = np.repeat(np.arange(n_same.size), n_same)
+        pair_col = by_id[np.arange(pair_row.size) + np.repeat(lo[rows] - np.cumsum(n_same) + n_same, n_same)]
+        rel_row, rel_col = pair_row, pair_col
         if exclude_same_view:
-            relevant = same_id & (g_views[None, :] != q_views[rows, None])
+            is_rel = g_views[pair_col] != q_views[rows][pair_row]
+            rel_row, rel_col = pair_row[is_rel], pair_col[is_rel]
+        count = np.bincount(rel_row, minlength=n_same.size)
+        if not count.any():
+            continue
         d = distance_rows(rows)
-        # Each row's non-relevant kept distances, sorted; relevant and junk
-        # entries are pushed past every finite distance.
-        others = np.where(same_id, np.inf, d)
-        others.sort(axis=1)
-        cols = np.flatnonzero(relevant.any(axis=0))
-        rel_in_cols = relevant[:, cols]
-        count = np.count_nonzero(rel_in_cols, axis=1)
         # Each row's relevant distances, ascending, in its first count
         # slots; the slots after them hold +inf and are masked out.
-        dist = np.where(rel_in_cols, d[:, cols], np.inf)
-        dist.sort(axis=1)
-        dist = dist[:, : count.max(initial=0)]
+        dist = np.full((count.size, count.max()), np.inf)
         slot = np.arange(dist.shape[1])
         valid = slot < count[:, None]
-        closer = np.array([o.searchsorted(x, "left") for o, x in zip(others, dist)])
+        dist[valid] = d[rel_row, rel_col]
+        dist.sort(axis=1)
+        far = np.where(count > 0, dist[np.arange(count.size), count - 1], -np.inf)
+        near = d <= far[:, None]
+        near[pair_row, pair_col] = False
+        # Row i's near distances are near_d[bounds[i] : bounds[i + 1]], sorted
+        # below; one +inf follows the last row's.
+        at = np.flatnonzero(near)
+        bounds = np.searchsorted(at, np.arange(count.size + 1) * ng)
+        near_d = np.empty(at.size + 1)
+        # With out, mode "raise" would copy through a buffer; at holds valid
+        # positions, so "clip" changes none.
+        np.take(d, at, out=near_d[:-1], mode="clip")
+        near_d[-1] = np.inf
+        # closer counts the near entries below each relevant entry.
+        closer = np.zeros(dist.shape, dtype=np.int64)
+        for i in np.flatnonzero(count):
+            row = near_d[bounds[i] : bounds[i + 1]]
+            row.sort()
+            closer[i] = row.searchsorted(dist[i], "left")
         pos = closer + slot
-        # At a valid slot others[closer] exists: others ends with an +inf
-        # per same-id entry, and the row has one. It is the first kept
-        # entry not closer, so a kept entry ties when it equals.
-        tied = valid & (np.take_along_axis(others, np.minimum(closer, ng - 1), axis=1) == dist)
+        # A near entry ties when the row's first near entry not closer
+        # equals the relevant one.
+        tied = valid & (closer < np.diff(bounds)[:, None]) & (near_d[bounds[:-1, None] + closer] == dist)
+        rel_start = np.cumsum(count) - count
         for b in np.flatnonzero(tied.any(axis=1)):
             r = count[b]
             pos[b, :r] += _band_offsets(
-                d[b], ~same_id[b], cols[rel_in_cols[b]], dist[b, :r], closer[b, :r], tied[b, :r]
+                d[b], near[b], rel_col[rel_start[b] : rel_start[b] + r], dist[b, :r], closer[b, :r], tied[b, :r]
             )
         # AP is the mean over the r relevant entries of k / (rank_k + 1).
         # Each row's sum runs over exactly its r terms, the same pairwise
@@ -217,6 +256,8 @@ def _rank_queries(
             of_r = count == r
             block_ap[of_r] = np.sum(np.arange(1, r + 1) / (pos[of_r, :r] + 1.0), axis=1) / r
             block_first[of_r] = pos[of_r, 0] + 1
+        # Freed before the next block's distances are formed.
+        del d, near, at, near_d
     num_skipped = int(np.count_nonzero(first_match_rank == 0))
     scored = nq - num_skipped
     if scored == 0:
@@ -251,9 +292,10 @@ def cmc_map(
     scoring (the usual same-camera junk convention).
 
     Only the relevant entries are ranked: each one's rank is found by
-    binary search in the query's sorted non-relevant distances, so no row
-    is argsorted. Queries are taken in blocks whose temporaries hold at
-    most _RANK_BLOCK_CELLS cells each.
+    binary search in the query's near set, the kept non-relevant distances
+    at or below its farthest relevant one, sorted. No row is argsorted or
+    sorted whole. Queries are taken in blocks whose arrays hold at most
+    _RANK_BLOCK_CELLS cells each; d is not written.
     """
     d = as_matrix(d, "distance matrix")
     return _rank_queries(
@@ -282,7 +324,9 @@ def evaluate(
     q_rows, g_rows = ds.query_rows, ds.gallery_rows
     if q_rows.size == 0 or g_rows.size == 0:
         raise DataError("dataset has an empty query or gallery split")
-    uq, ug = _unit_rows(features[q_rows], features[g_rows])
+    # Indexing by rows copies, so the unit rows are scaled in those copies.
+    uq = _unit_rows(np.ascontiguousarray(features[q_rows], dtype=np.float64), "query")
+    ug = _unit_rows(np.ascontiguousarray(features[g_rows], dtype=np.float64), "gallery")
     if not (np.all(np.isfinite(uq)) and np.all(np.isfinite(ug))):
         # A NaN or inf feature makes every distance of its row NaN.
         raise NumericError("distance matrix contains non-finite entries")
@@ -291,10 +335,12 @@ def evaluate(
     # bits of the whole product. The compiled kernel reads its right operand
     # once per four rows of the left one; as that operand the gallery (3 MB
     # at 4000 rows of dim 96) spills a 2 MB L2, and evaluate ran 25 % slower
-    # at eval-gallery's size (Xeon, AVX-512).
+    # at eval-gallery's size (Xeon, AVX-512). The transpose is copied to
+    # the row-major layout that _rank_queries reads; the product is then
+    # dropped, so the block holds one such array.
     return _rank_queries(
         (uq.shape[0], ug.shape[0]),
-        lambda rows: _distances_of_dots(matmul(ug, uq[rows].T)).T,
+        lambda rows: _distances_of_dots(matmul(ug, uq[rows].T).T.copy()),
         ds.ids[q_rows], ds.ids[g_rows], ds.view_ids[q_rows], ds.view_ids[g_rows],
         exclude_same_view, max_rank,
     )

@@ -21,7 +21,7 @@ from reidlab.evalkit import (
     trainset_view,
 )
 from reidlab.model import FUSED_SELECTOR, embed_dataset
-from reidlab.numerics import Rng
+from reidlab.numerics import Rng, matmul
 from reidlab.objectives import Strategy
 from reidlab.pipeline import TrainConfig, train
 from reidlab.synthdata import SPLIT_GALLERY, SPLIT_QUERY, MultimodalDataset, SynthConfig, generate
@@ -74,6 +74,19 @@ def test_cosine_distance_scale_invariance_and_errors():
         cosine_distance(np.array([[0.0, 0.0]]), g)
     with pytest.raises(ShapeError):
         cosine_distance(q, rng.normal(size=(3, 4)))
+
+
+def test_cosine_distance_scales_rows_in_blocks_with_whole_matrix_bits():
+    # A gallery of several row blocks of _unit_rows, and caller arrays that
+    # are float64 and C-contiguous, the layout it could have written into.
+    rng = np.random.default_rng(4)
+    g = rng.normal(size=(3 * evalkit._RANK_BLOCK_CELLS // 7 + 5, 7))
+    q = g[:3].copy()
+    g_before, q_before = g.tobytes(), q.tobytes()
+    unit = g / np.sqrt(np.sum(g * g, axis=1))[:, None]
+    want = evalkit._distances_of_dots(matmul(unit[:3], unit.T))
+    assert cosine_distance(q, g).tobytes() == want.tobytes()
+    assert g.tobytes() == g_before and q.tobytes() == q_before
 
 
 # ------------------------------------------------------------------ cmc_map
@@ -202,11 +215,43 @@ def _assert_matches_argsort_reference(d, q_ids, g_ids, q_views, g_views, excl, m
     return rep
 
 
+def _near_set_kinds(d, q_ids, g_ids, q_views, g_views, excl):
+    """The near-set boundary cases that the rows of d meet, found row by
+    row. A query's near set is its kept non-relevant entries at or below
+    its farthest relevant distance; cmc_map sorts only those. d is one
+    block here."""
+    kinds = set()
+    for i in range(d.shape[0]):
+        same = g_ids == q_ids[i]
+        junk = same & (g_views == q_views[i]) if excl else np.zeros_like(same)
+        rel = same & ~junk
+        if not rel.any():
+            continue
+        far = d[i, rel].max()
+        kept = ~same
+        near = kept & (d[i] <= far)
+        if same.all():
+            kinds.add("whole gallery same id")
+        if np.any(d[i, kept] == far):
+            kinds.add("kept at far")
+        if junk.any() and d[i, junk].max() < d[i, rel].min():
+            kinds.add("junk nearer than relevant")
+        if kept.any() and np.all(near[kept]):
+            kinds.add("all kept near")
+        if kept.any() and not near.any():
+            kinds.add("no kept near")
+    if {"all kept near", "no kept near"} <= kinds:
+        kinds.add("all and no kept near in one block")
+    return kinds
+
+
 def test_cmc_map_bitwise_equal_to_argsort_reference():
     rng = np.random.default_rng(2024)
     seen = dict.fromkeys(
         ["ties", "signed_zeros", "negative", "excl", "skipped", "all_relevant",
-         "first_match_past_max_rank", "single_query", "single_gallery"], 0)
+         "first_match_past_max_rank", "single_query", "single_gallery",
+         "whole gallery same id", "kept at far", "junk nearer than relevant",
+         "all kept near", "no kept near", "all and no kept near in one block"], 0)
     for trial in range(400):
         nq = 1 if trial % 11 == 0 else int(rng.integers(1, 25))
         ng = 1 if trial % 13 == 0 else int(rng.integers(1, 60))
@@ -235,6 +280,8 @@ def test_cmc_map_bitwise_equal_to_argsort_reference():
         seen["first_match_past_max_rank"] += int(rep.cmc[-1] < 1.0)
         seen["single_query"] += int(nq == 1)
         seen["single_gallery"] += int(ng == 1)
+        for kind in _near_set_kinds(d, q_ids, g_ids, q_views, g_views, excl):
+            seen[kind] += 1
     assert all(count >= 3 for count in seen.values()), seen
 
 
@@ -434,16 +481,25 @@ def _gallery_sets_1000x4000(seed, dim=32):
 
 
 def test_evaluate_sets_memory_bounded_below_distance_matrix():
-    ds, f = _gallery_sets_1000x4000(3)
-    matrix_bytes = 8 * ds.query_rows.size * ds.gallery_rows.size
-    tracemalloc.start()
-    try:
-        rep = evaluate(ds, f)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < matrix_bytes, (peak, matrix_bytes)
-    assert _report_bytes(lambda: rep, ds.ids[ds.query_rows]) == _exact_report_bytes(ds, f)
+    # Besides the unit rows, evaluate holds two block-sized float64 arrays
+    # at once, a block's product and its row-major copy; then the copy, its
+    # near mask (one byte a cell) and its near set's positions and
+    # distances, which are small at this data's near-set sizes. A third
+    # array's room holds the ids, the per-query results and the small
+    # per-block arrays.
+    block_bytes = 8 * evalkit._RANK_BLOCK_CELLS
+    for dim in (32, 96):  # eval-gallery's per-file and fused widths
+        ds, f = _gallery_sets_1000x4000(3, dim)
+        matrix_bytes = 8 * ds.query_rows.size * ds.gallery_rows.size
+        unit_bytes = 8 * dim * (ds.query_rows.size + ds.gallery_rows.size)
+        tracemalloc.start()
+        try:
+            rep = evaluate(ds, f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < min(matrix_bytes, unit_bytes + 3 * block_bytes), (dim, peak, unit_bytes)
+        assert _report_bytes(lambda: rep, ds.ids[ds.query_rows]) == _exact_report_bytes(ds, f)
 
 
 @pytest.mark.parametrize("side", ["query", "gallery"])
