@@ -27,7 +27,7 @@ from .errors import ConfigError, DataError, NumericError, ShapeError
 from .model import FUSED_SELECTOR, embed_dataset
 from .numerics import Matrix, Rng, as_matrix, matmul
 from .objectives import Strategy
-from .pipeline import TrainConfig, train
+from .pipeline import TrainConfig, batch_plan, train
 from .synthdata import (
     SPLIT_GALLERY,
     SPLIT_TRAIN,
@@ -297,7 +297,13 @@ def cmc_map(
     sorted whole. Queries are taken in blocks whose arrays hold at most
     _RANK_BLOCK_CELLS cells each; d is not written.
     """
-    d = as_matrix(d, "distance matrix")
+    d = as_matrix(d, "distance matrix", check_finite=False)
+    # Checked a block of rows at a time: a mask of the whole of d would be
+    # the largest array cmc_map holds.
+    step = max(1, _RANK_BLOCK_CELLS // max(d.shape[1], 1))
+    for start in range(0, d.shape[0], step):
+        if not np.isfinite(d[start : start + step]).all():
+            raise NumericError("distance matrix contains non-finite entries")
     return _rank_queries(
         d.shape, lambda rows: d[rows],
         q_ids, g_ids, q_views, g_views, exclude_same_view, max_rank,
@@ -524,9 +530,12 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _suite_cell(spec: SuiteSpec, ds: MultimodalDataset, seed: int, strategy: Strategy, epochs: int) -> tuple:
-    """Train one (seed, strategy) cell: (stream names, [(target, (mAP, rank1)), ...] in target order)."""
-    model = train(ds, suite_train_config(strategy, seed, epochs)).model
+def _suite_cell(
+    spec: SuiteSpec, ds: MultimodalDataset, plan: np.ndarray, seed: int, strategy: Strategy, epochs: int
+) -> tuple:
+    """Train one (seed, strategy) cell on the seed's batch plan: (stream
+    names, [(target, (mAP, rank1)), ...] in target order)."""
+    model = train(ds, suite_train_config(strategy, seed, epochs), plan).model
     test = ds.take(ds.split != SPLIT_TRAIN)
     splits = [("test", test)] + ([("train", trainset_view(ds))] if spec.train_split else [])
 
@@ -547,20 +556,66 @@ def _suite_share(suite: str, epochs: int, cells: list) -> tuple:
     """Run [(cell index, (seed, strategy)), ...] in order, stopping at the first failure.
 
     Returns (results of the finished cells, None or (index, exception) of
-    the failed one). A seed's dataset is generated once for consecutive
-    cells of that seed.
+    the failed one). A seed's dataset and batch plan are made once for
+    consecutive cells of that seed, which share them: the strategies differ
+    in neither. A failure to make them is charged to the first such cell.
     """
     spec = SUITES[suite]
     done = []
-    ds_seed, ds = None, None
+    ds_seed = None
     for index, (seed, strategy) in cells:
         try:
             if seed != ds_seed:
                 ds_seed, ds = seed, spec.transform(generate(spec.preset(seed)))
-            done.append(_suite_cell(spec, ds, seed, strategy, epochs))
+                plan = batch_plan(ds, suite_train_config(strategy, seed, epochs))
+            done.append(_suite_cell(spec, ds, plan, seed, strategy, epochs))
         except Exception as exc:
             return done, (index, exc)
     return done, None
+
+
+def _suite_helper(conn, suite: str, epochs: int, cells: list) -> None:
+    """A helper process's body: run its share and send the result back."""
+    with conn:
+        conn.send(_suite_share(suite, epochs, cells))
+
+
+def _run_shares(suite: str, epochs: int, shares: list) -> list:
+    """_suite_share of every share, in order: the first in this process,
+    each of the others in a helper process started for it."""
+    if len(shares) == 1:
+        return [_suite_share(suite, epochs, shares[0])]
+    # Imported here so that importing the CLI does not pay for it. Helpers
+    # start with the platform's default method (fork on Linux: no fresh
+    # numpy import on the critical path); the shares' arguments and
+    # results pickle under any start method.
+    import multiprocessing
+
+    helpers = []
+    try:
+        for share in shares[1:]:
+            recv, send = multiprocessing.Pipe(duplex=False)
+            proc = multiprocessing.Process(target=_suite_helper, args=(send, suite, epochs, share), daemon=True)
+            proc.start()
+            # The helper now holds the only send end: recv sees EOF if it dies.
+            send.close()
+            helpers.append((proc, recv))
+        results = [_suite_share(suite, epochs, shares[0])]
+        for proc, recv in helpers:
+            try:
+                results.append(recv.recv())
+            except EOFError:
+                proc.join()
+                raise RuntimeError(f"suite helper exited with code {proc.exitcode} before sending its results") from None
+        return results
+    except BaseException:
+        for proc, _ in helpers:
+            proc.terminate()
+        raise
+    finally:
+        for proc, recv in helpers:
+            recv.close()
+            proc.join()
 
 
 def run_suite(
@@ -571,12 +626,16 @@ def run_suite(
 ) -> SuiteResult:
     """Train all strategies per seed on the suite's preset and aggregate.
 
-    Each (seed, strategy) cell is an independent training run. Cell i
-    runs in worker i mod jobs: worker 0 is this process, the others are
-    helper processes. jobs=None means every usable CPU; it is capped at
-    the cell count. Results merge in (seed, strategy, target) order, so
-    the result does not depend on jobs. On failure, the error of the
-    lowest-indexed failing cell is raised, as a sequential run would.
+    Each (seed, strategy) cell is an independent training run. The cells,
+    seed-major, are cut into jobs contiguous runs of near-equal length, one
+    per worker: worker 0 is this process, the others are helper processes
+    that send their results back over a pipe. A worker thus holds whole
+    seeds, except where a run boundary splits one, and makes each of its
+    seeds' dataset and batch plan once for all its cells of that seed.
+    jobs=None means every usable CPU; it is capped at the cell count.
+    Results merge in (seed, strategy, target) order, so the result does not
+    depend on jobs. On failure, the error of the lowest-indexed failing
+    cell is raised, as a sequential run would.
     """
     spec = SUITES.get(suite)
     if spec is None:
@@ -590,27 +649,13 @@ def run_suite(
 
     cells = list(enumerate((seed, strategy) for seed in seeds for strategy in ALL_STRATEGIES))
     jobs = min(len(cells), _usable_cpus() if jobs is None else jobs)
-    if jobs == 1:
-        shares = [_suite_share(suite, epochs, cells)]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # Imported here so that importing the CLI does not pay for the
-        # pool. Helpers start with the platform's default method (fork on
-        # Linux: no fresh numpy import on the critical path); the shares'
-        # arguments and results pickle under any start method.
-        with ProcessPoolExecutor(max_workers=jobs - 1) as pool:
-            helpers = [
-                pool.submit(_suite_share, suite, epochs, cells[w::jobs]) for w in range(1, jobs)
-            ]
-            shares = [_suite_share(suite, epochs, cells[0::jobs])] + [h.result() for h in helpers]
+    bounds = [len(cells) * w // jobs for w in range(jobs + 1)]
+    shares = _run_shares(suite, epochs, [cells[a:b] for a, b in zip(bounds, bounds[1:])])
     failures = [failure for _, failure in shares if failure is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
 
-    per_cell = [None] * len(cells)
-    for w, (done, _) in enumerate(shares):
-        per_cell[w::jobs] = done
+    per_cell = [result for done, _ in shares for result in done]
     raw = {}
     for (_, (seed, strategy)), (_, results) in zip(cells, per_cell):
         for t, value in results:

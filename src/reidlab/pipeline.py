@@ -116,15 +116,43 @@ def sgd_step(
     state.step += 1
 
 
-def _train_arrays(ds: MultimodalDataset):
+def _train_labels(ds: MultimodalDataset, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The class index of every train row, and the sorted train ids they
+    index, at least cfg.p of them."""
     rows = ds.train_rows
     if rows.size == 0:
         raise DataError("dataset has no training rows")
     y_raw = ds.ids[rows]
     classes = sorted_unique(y_raw)
-    y = np.searchsorted(classes, y_raw).astype(np.int64)
-    xs = [np.ascontiguousarray(f[rows]) for f in ds.features]
-    return xs, y, classes
+    if classes.size < cfg.p:
+        raise DataError(f"config asks P={cfg.p} ids per batch, train set has {classes.size}")
+    return np.searchsorted(classes, y_raw).astype(np.int64), classes
+
+
+def _plan_shape(num_rows: int, cfg: TrainConfig) -> tuple:
+    return cfg.epochs, max(1, math.ceil(num_rows / cfg.batch_size)), cfg.p * cfg.k
+
+
+def _draw_plan(y: np.ndarray, cfg: TrainConfig) -> np.ndarray:
+    shape = _plan_shape(y.size, cfg)
+    sampler = Rng(cfg.seed).split("batches")
+    groups = label_groups(y)
+    plan = np.empty(shape, dtype=np.int64)
+    for step in plan.reshape(-1, shape[2]):
+        step[:] = pk_sample(groups, cfg.p, cfg.k, sampler)
+    return plan
+
+
+def batch_plan(ds: MultimodalDataset, cfg: TrainConfig) -> np.ndarray:
+    """The PK batches of train(ds, cfg), drawn up front: plan[epoch, b]
+    holds the positions, among ds's train rows, of batch b of that epoch.
+
+    The plan depends only on ds's train labels and on cfg's seed, p, k and
+    epochs, so configs that differ in anything else, such as the strategy,
+    share it: train(ds, cfg, plan) then gives the bytes of train(ds, cfg).
+    """
+    cfg.validate()
+    return _draw_plan(_train_labels(ds, cfg)[0], cfg)
 
 
 def batch_gradients(
@@ -173,13 +201,19 @@ def batch_gradients(
     return loss, dict(iter_trainables(replace(model, streams=streams, fused=fused)))
 
 
-def train(ds: MultimodalDataset, cfg: TrainConfig) -> RunRecord:
-    """Full training run; deterministic given (ds, cfg)."""
+def train(ds: MultimodalDataset, cfg: TrainConfig, plan: Optional[np.ndarray] = None) -> RunRecord:
+    """Full training run; deterministic given (ds, cfg). plan, if given,
+    is batch_plan(ds, cfg) drawn ahead, e.g. once for several strategies;
+    by default train draws its own."""
     cfg.validate()
     ds.validate()
-    xs, y, classes = _train_arrays(ds)
-    if classes.size < cfg.p:
-        raise DataError(f"config asks P={cfg.p} ids per batch, train set has {classes.size}")
+    y, classes = _train_labels(ds, cfg)
+    plan = _draw_plan(y, cfg) if plan is None else np.asarray(plan)
+    if plan.shape != _plan_shape(y.size, cfg):
+        raise ShapeError(f"batch plan {plan.shape} does not match {_plan_shape(y.size, cfg)} for this run")
+    if not np.issubdtype(plan.dtype, np.integer) or plan.min() < 0 or plan.max() >= y.size:
+        raise DataError(f"batch plan must hold integer positions among {y.size} train rows")
+    xs = [np.ascontiguousarray(f[ds.train_rows]) for f in ds.features]
     root = Rng(cfg.seed)
     model = init_model(
         [x.shape[1] for x in xs],
@@ -192,17 +226,13 @@ def train(ds: MultimodalDataset, cfg: TrainConfig) -> RunRecord:
     )
     trainables = iter_trainables(model)
     opt = OptState.for_params(trainables)
-    sampler = root.split("batches")
-    groups = label_groups(y)
-    batches_per_epoch = max(1, math.ceil(y.size / cfg.batch_size))
     epoch_losses = np.empty(cfg.epochs, dtype=np.float64)
     epoch_lrs = np.empty(cfg.epochs, dtype=np.float64)
 
-    for epoch in range(cfg.epochs):
+    for epoch, batches in enumerate(plan):
         lr = lr_at(epoch, cfg)
-        batch_losses = np.empty(batches_per_epoch, dtype=np.float64)
-        for b in range(batches_per_epoch):
-            idx = pk_sample(groups, cfg.p, cfg.k, sampler)
+        batch_losses = np.empty(len(batches), dtype=np.float64)
+        for b, idx in enumerate(batches):
             loss, grads = batch_gradients(model, [x[idx] for x in xs], y[idx], cfg.loss)
             if not math.isfinite(loss):
                 raise NumericError(f"training loss diverged at epoch {epoch}, batch {b}")

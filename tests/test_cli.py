@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from reidlab import cli, evalkit
+from reidlab import cli, evalkit, pipeline
 from reidlab.cli import apply_overrides, load_config, main, validate_config
 from reidlab.errors import ConfigError, NumericError
 from reidlab.fileio import read_dataset, write_embedding_file
@@ -711,38 +711,97 @@ def test_repro_bytes_pinned_for_every_suite(tmp_path, suite):
     assert got == REPRO_SHA256[suite]
 
 
-@pytest.fixture
-def fork_start_method():
-    if "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("the fork start method is not available")
+def _use_start_method(method):
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"the {method} start method is not available")
     old = multiprocessing.get_start_method(allow_none=True)
-    multiprocessing.set_start_method("fork", force=True)
+    multiprocessing.set_start_method(method, force=True)
     yield
     multiprocessing.set_start_method(old, force=True)
 
 
+@pytest.fixture
+def fork_start_method():
+    yield from _use_start_method("fork")
+
+
+@pytest.fixture
+def spawn_start_method():
+    yield from _use_start_method("spawn")
+
+
+def test_repro_helpers_under_spawn_write_the_sequential_bytes(tmp_path, spawn_start_method):
+    # A spawned helper imports everything afresh and gets its share, and
+    # sends its results back, pickled.
+    outputs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / jobs
+        argv = ["repro", "ensemble", "-o", str(out), "--seeds", "2", "--epochs", "1", "--jobs", jobs]
+        assert main(argv) == 0, jobs
+        outputs.append(_dir_bytes(out))
+    assert len(outputs[0]) == 5 and outputs[1] == outputs[0]
+
+
+def _repro_errors(tmp_path, capsys, jobs_values=("1", "2")):
+    """stderr of a failing weak-link repro at --seeds 2, per --jobs value."""
+    errs = []
+    for jobs in jobs_values:
+        argv = ["repro", "weak-link", "-o", str(tmp_path / jobs), "--seeds", "2",
+                "--epochs", "1", "--jobs", jobs]
+        assert main(argv) == 4, jobs
+        errs.append(capsys.readouterr().err)
+    return errs
+
+
 # Cells run in (seed, strategy) order; at --jobs 2, this process runs
-# cells 0, 2, 4 and the helper runs 1, 3, 5.
-@pytest.mark.parametrize("failing", [{3, 4}, {2, 3}, {5}])
+# cells 0-2 (seed 0) and the helper runs cells 3-5 (seed 1).
+@pytest.mark.parametrize("failing", [{3, 4}, {2, 3}, {5}, {1}])
 def test_repro_failing_cell_error_does_not_depend_on_jobs(
     tmp_path, capsys, monkeypatch, fork_start_method, failing
 ):
     real_train = evalkit.train
 
-    def train(ds, cfg):
+    def train(ds, cfg, plan):
         index = 3 * cfg.seed + evalkit.ALL_STRATEGIES.index(cfg.strategy)
         if index in failing:
             raise NumericError(f"cell {index} diverged")
-        return real_train(ds, cfg)
+        return real_train(ds, cfg, plan)
 
     monkeypatch.setattr(evalkit, "train", train)
-    errs = []
-    for jobs in ("1", "2"):
-        argv = ["repro", "weak-link", "-o", str(tmp_path / jobs), "--seeds", "2",
-                "--epochs", "1", "--jobs", jobs]
-        assert main(argv) == 4, jobs
-        errs.append(capsys.readouterr().err)
+    errs = _repro_errors(tmp_path, capsys)
     assert errs[0] == errs[1] == f"numeric error: cell {min(failing)} diverged\n"
+
+
+def test_repro_failing_batch_plan_is_charged_to_the_seeds_first_cell(
+    tmp_path, capsys, monkeypatch, fork_start_method
+):
+    # Seed 1's plan is drawn for cell 3 and serves cells 3-5; cell 4 would
+    # fail too, but only after cell 3. At --jobs 4 the workers run cells
+    # [0], [1, 2], [3] and [4, 5], so seed 1's plan fails in two of them.
+    real_pk_sample, real_train = pipeline.pk_sample, evalkit.train
+
+    def pk_sample(groups, p, k, rng):
+        if rng.seed == 1:
+            raise NumericError("seed 1 has no batches")
+        return real_pk_sample(groups, p, k, rng)
+
+    def train(ds, cfg, plan):
+        if (cfg.seed, cfg.strategy) == (1, evalkit.ALL_STRATEGIES[1]):
+            raise NumericError("cell 4 diverged")
+        return real_train(ds, cfg, plan)
+
+    monkeypatch.setattr(pipeline, "pk_sample", pk_sample)
+    monkeypatch.setattr(evalkit, "train", train)
+    errs = _repro_errors(tmp_path, capsys, ("1", "2", "4"))
+    assert errs == ["numeric error: seed 1 has no batches\n"] * 3
+
+
+def test_repro_batch_plan_of_the_wrong_shape_exits_3(tmp_path, monkeypatch, capsys):
+    real_plan = evalkit.batch_plan
+    monkeypatch.setattr(evalkit, "batch_plan", lambda ds, cfg: real_plan(ds, cfg)[:, :-1])
+    argv = ["repro", "ensemble", "-o", str(tmp_path / "x"), "--seeds", "1", "--epochs", "1", "--jobs", "1"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("data error: batch plan (1, ")
 
 
 def test_repro_fails_fast_on_unwritable_out(tmp_path, monkeypatch, capsys):
@@ -788,7 +847,7 @@ import sys
 import reidlab.cli
 if sys.argv[1:]:
     assert reidlab.cli.main(sys.argv[1:]) == 0
-print(" ".join(m for m in ("numpy.ma", "yaml") if m in sys.modules))
+print(" ".join(m for m in ("numpy.ma", "yaml", "multiprocessing", "concurrent.futures") if m in sys.modules))
 """
 
 
@@ -802,7 +861,8 @@ def _modules_loaded_by(argv):
 
 def test_repro_and_cli_import_load_neither_numpy_ma_nor_yaml(tmp_path):
     # numpy.ma costs a process about 16 ms and yaml about 15 ms; repro
-    # parses no YAML, and nothing needs masked arrays.
+    # parses no YAML, and nothing needs masked arrays. Neither a --jobs 1
+    # repro nor the import loads multiprocessing: only helpers need it.
     argv = ["repro", "laziness-clean", "-o", str(tmp_path / "suite"), "--seeds", "1",
             "--epochs", "1", "--jobs", "1"]
     assert _modules_loaded_by(argv) == []

@@ -480,7 +480,7 @@ def _gallery_sets_1000x4000(seed, dim=32):
     return _retrieval_ds(f, ids, views, is_query), f
 
 
-def test_evaluate_sets_memory_bounded_below_distance_matrix():
+def test_evaluate_memory_bounded_below_distance_matrix():
     # Besides the unit rows, evaluate holds two block-sized float64 arrays
     # at once, a block's product and its row-major copy; then the copy, its
     # near mask (one byte a cell) and its near set's positions and
@@ -502,9 +502,34 @@ def test_evaluate_sets_memory_bounded_below_distance_matrix():
         assert _report_bytes(lambda: rep, ds.ids[ds.query_rows]) == _exact_report_bytes(ds, f)
 
 
+def test_cmc_map_checks_finiteness_a_block_at_a_time():
+    # A mask of the whole 1000 x 4000 matrix would take 4 MB; the ranking
+    # itself holds a few block-sized arrays at this data's near-set sizes.
+    ds, f = _gallery_sets_1000x4000(3)
+    q, g = ds.query_rows, ds.gallery_rows
+    d = cosine_distance(f[q], f[g])
+    tracemalloc.start()
+    try:
+        rep = cmc_map(d, ds.ids[q], ds.ids[g])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * evalkit._RANK_BLOCK_CELLS, peak
+    assert _report_bytes(lambda: rep, ds.ids[q]) == _exact_report_bytes(ds, f)
+    # Every row is checked: the last one, and one in a first block of
+    # queries without relevant entries, which the ranking never reads.
+    q_ids = ds.ids[q].copy()
+    q_ids[: evalkit._RANK_BLOCK_CELLS // g.size] = -1
+    for row in (0, -1):
+        bad = d.copy()
+        bad[row, 7] = np.nan
+        with pytest.raises(NumericError, match="^distance matrix contains non-finite entries$"):
+            cmc_map(bad, q_ids, ds.ids[g])
+
+
 @pytest.mark.parametrize("side", ["query", "gallery"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0])
-def test_evaluate_sets_rejects_bad_features_as_exact_path(side, value):
+def test_evaluate_rejects_bad_features_as_exact_path(side, value):
     ds, f, _ = _adversarial_sets(np.random.default_rng(2), 7)
     bad_row = (ds.query_rows if side == "query" else ds.gallery_rows)[-1]
     if value == 0.0:
@@ -520,7 +545,7 @@ def test_evaluate_sets_rejects_bad_features_as_exact_path(side, value):
 
 # ------------------------------------------------------- model-based evals
 
-def test_embedding_sets_and_zero_norm_guard():
+def test_embed_dataset_rows_and_zero_norm_guard():
     # One embed_dataset call over query and gallery rows gives the bits of
     # one call per split: every eval-mode kernel is row-independent.
     ds = _tiny_ds()
@@ -597,7 +622,7 @@ def test_trainset_view_protocol_and_determinism():
     assert not np.array_equal(tv.split, other.split)
 
 
-def test_evaluate_sets_runs_validation():
+def test_evaluate_runs_validation():
     ds = _tiny_ds()
     model = _trained(ds)
     f = embed_dataset(model, ds, 0)
@@ -650,6 +675,21 @@ def test_run_suite_raw_does_not_depend_on_jobs():
     assert list(two.raw.items()) == list(one.raw.items())
     assert list(two.table.cells.items()) == list(one.table.cells.items())
     assert two.claims == one.claims
+
+
+def test_suite_share_makes_each_seeds_dataset_and_plan_once(monkeypatch):
+    real_generate, real_plan, real_train = evalkit.generate, evalkit.batch_plan, evalkit.train
+    generated, plans, trained = [], [], []
+    monkeypatch.setattr(evalkit, "generate", lambda cfg: generated.append(cfg.seed) or real_generate(cfg))
+    monkeypatch.setattr(evalkit, "batch_plan", lambda ds, cfg: plans.append(real_plan(ds, cfg)) or plans[-1])
+    monkeypatch.setattr(evalkit, "train",
+                        lambda ds, cfg, plan: trained.append((cfg.seed, plan)) or real_train(ds, cfg, plan))
+    cells = list(enumerate((seed, s) for seed in (0, 1) for s in ALL_STRATEGIES))
+    done, failure = evalkit._suite_share("ensemble", 1, cells)
+    assert failure is None and len(done) == 6
+    assert generated == [0, 1] and len(plans) == 2
+    assert [seed for seed, _ in trained] == [0, 0, 0, 1, 1, 1]
+    assert all(plan is plans[seed] for seed, plan in trained)
 
 
 UNI, FAVG, FCAT = (s.value for s in ALL_STRATEGIES)

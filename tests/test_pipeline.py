@@ -7,7 +7,7 @@ import pytest
 
 from reidlab import pipeline
 from reidlab.errors import ConfigError, DataError, ShapeError
-from reidlab.model import head_forward, init_model, iter_trainables, stream_forward
+from reidlab.model import head_forward, init_model, iter_trainables, save_checkpoint, stream_forward
 from reidlab.numerics import Rng, label_groups
 from reidlab.objectives import LossConfig, Strategy, combined_loss, fuse, inference_fusion_op
 from reidlab.pipeline import (
@@ -15,6 +15,7 @@ from reidlab.pipeline import (
     OptState,
     TrainConfig,
     batch_gradients,
+    batch_plan,
     carve_validation,
     config_hash,
     grid_search,
@@ -260,6 +261,44 @@ def test_train_batches_equal_per_step_pk_sample(monkeypatch):
     sampler = Rng(cfg.seed).split("batches")
     for got in batches:
         assert got.tobytes() == _pk_sample_per_step(y, cfg.p, cfg.k, sampler).tobytes()
+    # batch_plan draws the same batches, in the same order.
+    drawn = list(batches)
+    plan = batch_plan(ds, cfg)
+    assert plan.shape == (cfg.epochs, len(drawn) // cfg.epochs, cfg.batch_size)
+    assert plan.tobytes() == np.concatenate(drawn).tobytes()
+
+
+def _run_bytes(rec, path):
+    """The loss curve, learning rates and checkpoint bytes of a run."""
+    save_checkpoint(rec.model, path)
+    return rec.epoch_losses.tobytes(), rec.epoch_lrs.tobytes(), path.read_bytes()
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_train_on_a_batch_plan_gives_the_bytes_of_its_own_draw(tmp_path, strategy):
+    ds = _tiny_ds(m=3)
+    cfg = _tiny_cfg(strategy, epochs=3)
+    own = _run_bytes(train(ds, cfg), tmp_path / "own.bin")
+    # A plan depends on no strategy, so one drawn under any serves all.
+    for other in Strategy:
+        plan = batch_plan(ds, _tiny_cfg(other, epochs=3))
+        assert _run_bytes(train(ds, cfg, plan), tmp_path / "plan.bin") == own, other
+
+
+def test_train_rejects_a_batch_plan_that_does_not_fit():
+    ds = _tiny_ds()
+    cfg = _tiny_cfg(epochs=3)
+    plan = batch_plan(ds, cfg)
+    assert plan.dtype == np.int64
+    for bad in (plan[:-1], plan[:, :-1], plan[..., :-1], plan.reshape(-1), batch_plan(ds, _tiny_cfg(epochs=4))):
+        with pytest.raises(ShapeError, match="batch plan"):
+            train(ds, cfg, bad)
+    num_rows = ds.train_rows.size
+    for bad in (plan + num_rows, plan - num_rows, plan.astype(np.float64)):
+        with pytest.raises(DataError, match=f"integer positions among {num_rows} train rows"):
+            train(ds, cfg, bad)
+    with pytest.raises(DataError, match="P=8"):
+        batch_plan(ds, _tiny_cfg(p=8))  # only 6 train ids
 
 
 def test_unicat_streams_match_solo_training_bitwise():
