@@ -1,4 +1,5 @@
-/* Exact matrix product for reidlab.numerics.matmul.
+/* Exact matrix product for reidlab.numerics.matmul, as the CPython
+   extension module reidlab._matmul.
 
    out (n x m) = a (n x k) * b (k x m), all row-major; out need not be
    initialised. Each out[i][j] starts at +0.0 and adds a[i][t]*b[t][j] for
@@ -24,9 +25,18 @@
    memory on a 16-register AVX2 or SSE2 machine and runs several times
    slower than the plain loops. The vector code is written inline, not in
    helpers that pass vectors by value, whose ABI differs between the
-   instruction sets. */
+   instruction sets.
+
+   The module's one function, matmul(a, b, out), takes the operands
+   through the buffer protocol and checks them before reidlab_matmul reads
+   a byte: it gets raw addresses, so a buffer of the wrong type, layout or
+   shape would make it read or write out of bounds. */
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 
 #include <stddef.h>
+#include <stdint.h>
 #include <string.h>
 
 #if defined(__x86_64__) && defined(__has_attribute)
@@ -153,4 +163,100 @@ void reidlab_matmul(KERNEL_ARGS)
     }
 #endif
     matmul_base(a, b, out, n, k, m);
+}
+
+
+/* reidlab.errors.ShapeError, looked up when the module is created. */
+static PyObject *shape_error;
+
+/* Fills view with obj's buffer if it is a 2-D, C-contiguous float64 matrix,
+   and a writable one if writable is set; else sets an error and returns -1
+   with nothing held. */
+static int get_matrix(PyObject *obj, Py_buffer *view, const char *name, int writable)
+{
+    if (PyObject_GetBuffer(obj, view, PyBUF_RECORDS_RO) < 0)
+        return -1;
+    if (view->ndim != 2)
+        PyErr_Format(shape_error, "matmul kernel: %s must be 2-D, got %d dimensions",
+                     name, view->ndim);
+    else if (view->format == NULL || strcmp(view->format, "d") != 0
+             || view->itemsize != sizeof(double))
+        PyErr_Format(PyExc_TypeError, "matmul kernel: %s must be float64 ('d'), got '%s'",
+                     name, view->format ? view->format : "B");
+    else if (!PyBuffer_IsContiguous(view, 'C'))
+        PyErr_Format(PyExc_ValueError, "matmul kernel: %s must be C-contiguous", name);
+    else if (writable && view->readonly)
+        PyErr_Format(PyExc_ValueError, "matmul kernel: %s is read-only", name);
+    else
+        return 0;
+    PyBuffer_Release(view);
+    return -1;
+}
+
+/* Whether the bytes of two buffers share an address. */
+static int overlap(const Py_buffer *x, const Py_buffer *y)
+{
+    const uintptr_t x0 = (uintptr_t)x->buf, y0 = (uintptr_t)y->buf;
+    return x->len > 0 && y->len > 0 && x0 < y0 + (uintptr_t)y->len
+           && y0 < x0 + (uintptr_t)x->len;
+}
+
+static PyObject *matmul(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer a, b, out;
+    PyObject *result = NULL;
+    if (nargs != 3) {
+        PyErr_Format(PyExc_TypeError, "matmul kernel takes 3 arguments (a, b, out), got %zd",
+                     nargs);
+        return NULL;
+    }
+    if (get_matrix(args[0], &a, "a", 0) < 0)
+        return NULL;
+    if (get_matrix(args[1], &b, "b", 0) < 0)
+        goto release_a;
+    if (get_matrix(args[2], &out, "out", 1) < 0)
+        goto release_b;
+    if (a.shape[1] != b.shape[0] || out.shape[0] != a.shape[0] || out.shape[1] != b.shape[1])
+        PyErr_Format(shape_error,
+                     "matmul kernel operands (%zd, %zd) x (%zd, %zd) -> (%zd, %zd) do not chain",
+                     a.shape[0], a.shape[1], b.shape[0], b.shape[1], out.shape[0], out.shape[1]);
+    else if (overlap(&out, &a) || overlap(&out, &b))
+        PyErr_SetString(PyExc_ValueError, "matmul kernel: out shares memory with an operand");
+    else {
+        reidlab_matmul(a.buf, b.buf, out.buf, a.shape[0], a.shape[1], b.shape[1]);
+        result = Py_NewRef(Py_None);
+    }
+    PyBuffer_Release(&out);
+release_b:
+    PyBuffer_Release(&b);
+release_a:
+    PyBuffer_Release(&a);
+    return result;
+}
+
+static PyMethodDef methods[] = {
+    {"matmul", (PyCFunction)(void (*)(void))matmul, METH_FASTCALL,
+     "matmul(a, b, out): out = a @ b in the fixed k order, for 2-D C-contiguous\n"
+     "float64 buffers; out must be writable, (rows of a) x (columns of b) and\n"
+     "share no memory with a or b."},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module_def = {
+    PyModuleDef_HEAD_INIT, "reidlab._matmul", "Exact matrix product kernel.", -1, methods,
+    NULL, NULL, NULL, NULL,
+};
+
+PyMODINIT_FUNC PyInit__matmul(void)
+{
+    if (shape_error == NULL) {
+        PyObject *errors = PyImport_ImportModule("reidlab.errors");
+        if (errors == NULL)
+            return NULL;
+        shape_error = PyObject_GetAttrString(errors, "ShapeError");
+        Py_DECREF(errors);
+        if (shape_error == NULL)
+            return NULL;
+    }
+    return PyModule_Create(&module_def);
 }

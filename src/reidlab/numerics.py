@@ -9,8 +9,8 @@ its seed on any machine and under any thread count.
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
+import importlib.machinery
 import importlib.util
 import math
 import os
@@ -51,8 +51,9 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     that exact order, starting from +0.0, so the result is bit-identical
     to a naive triple loop and independent of BLAS backend or thread
     count. The work is done by the kernel MATMUL_KERNEL names: the
-    compiled one when it could be built and passed its self-test, else
-    the numpy one; both give the same bits.
+    compiled one (the C extension module reidlab._matmul) when it could
+    be built, loaded and passed its self-test, else the numpy one; both
+    give the same bits.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -107,16 +108,26 @@ def _matmul_numpy(a: Matrix, b: Matrix) -> Matrix:
 
 
 # The compiled kernel does the numpy kernel's arithmetic in C (see the
-# source's header). It is built on first import into this module's
-# __pycache__ directory as _matmul-<key>-<digest>.so: the key hashes the
-# source, the flags and the machine, and the digest hashes the library's
-# own bytes, so a later import loads it only if it is whole.
+# source's header), as the extension module reidlab._matmul. It is built
+# on first import into this module's __pycache__ directory as
+# _matmul-<key>-<digest>.so: the key hashes the source, the flags, the
+# machine and the interpreter's extension ABI, and the digest hashes the
+# library's own bytes, so a later import loads it only if it is whole.
 _KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_matmul.c")
 _CFLAGS = ("-std=c11", "-O3", "-ffp-contract=off", "-fPIC", "-shared")
 
 
 def _digest(*parts: bytes) -> str:
     return hashlib.sha256(b"\0".join(parts)).hexdigest()[:16]
+
+
+def _stem(source: bytes) -> str:
+    """The cached library's name up to its digest. The ABI part is the
+    interpreter's EXT_SUFFIX (".cpython-311-x86_64-linux-gnu.so"), the
+    first of importlib's extension suffixes, read without sysconfig."""
+    abi = importlib.machinery.EXTENSION_SUFFIXES[0]
+    return "_matmul-" + _digest(source, " ".join(_CFLAGS).encode(),
+                                platform.machine().encode(), abi.encode())
 
 
 def _cached_library(folder: str, stem: str) -> Optional[str]:
@@ -151,6 +162,21 @@ def _compiler() -> Optional[list]:
     return [found] if found else None
 
 
+def _compile_command() -> list:
+    """The compiler, _CFLAGS and -I for Python's headers: the command that
+    builds the extension, short of its output and input. Raises OSError
+    when there is no compiler or no Python.h."""
+    import sysconfig
+
+    cc = _compiler()
+    if cc is None:
+        raise OSError("no C compiler found")
+    include = sysconfig.get_path("include")
+    if not os.path.isfile(os.path.join(include, "Python.h")):
+        raise OSError(f"no Python.h in {include}")
+    return [*cc, *_CFLAGS, "-I", include]
+
+
 def _build(source: bytes, folder: str, stem: str) -> str:
     """Compile source into folder and return the library's path.
 
@@ -160,14 +186,12 @@ def _build(source: bytes, folder: str, stem: str) -> str:
     """
     import subprocess
 
-    cc = _compiler()
-    if cc is None:
-        raise OSError("no C compiler found")
+    command = _compile_command()
     os.makedirs(folder, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=stem + ".", dir=folder)
     os.close(fd)
     try:
-        subprocess.run([*cc, *_CFLAGS, "-o", tmp, "-x", "c", "-"], input=source,
+        subprocess.run([*command, "-o", tmp, "-x", "c", "-"], input=source,
                        capture_output=True, check=True, timeout=300)
         with open(tmp, "rb") as fh:
             library = os.path.join(folder, f"{stem}-{_digest(fh.read())}.so")
@@ -189,37 +213,43 @@ def _library() -> str:
     with open(_KERNEL_SOURCE, "rb") as fh:
         source = fh.read()
     folder = os.path.dirname(importlib.util.cache_from_source(__file__))
-    stem = "_matmul-" + _digest(source, " ".join(_CFLAGS).encode(), platform.machine().encode())
+    stem = _stem(source)
     return _cached_library(folder, stem) or _build(source, folder, stem)
+
+
+def _extension(path: str):
+    """The extension module reidlab._matmul loaded from the library at
+    path, without entering it in sys.modules. Raises ImportError when the
+    file is not a loadable extension."""
+    loader = importlib.machinery.ExtensionFileLoader("reidlab._matmul", path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(loader.name, loader))
+    loader.exec_module(module)
+    return module
+
+
+def _compiled_kernel(extension) -> Callable[[Matrix, Matrix], Matrix]:
+    """A kernel for matmul that calls the extension's matmul, which
+    refuses (ShapeError, TypeError or ValueError) any buffer that is not
+    a 2-D C-contiguous float64 matrix or an out that does not fit."""
+    fn = extension.matmul
+
+    def matmul_compiled(a: Matrix, b: Matrix) -> Matrix:
+        a = np.ascontiguousarray(a, dtype=np.float64)
+        b = np.ascontiguousarray(b, dtype=np.float64)
+        # The kernel sets every cell; shape[-1] lets a 1-D b reach its check.
+        out = np.empty((a.shape[0], b.shape[-1]), dtype=np.float64)
+        fn(a, b, out)
+        return out
+
+    return matmul_compiled
 
 
 def _load_compiled() -> Optional[Callable[[Matrix, Matrix], Matrix]]:
     """The compiled kernel, built first if not cached; None if that fails."""
     try:
-        return _wrap_library(_library())
-    except (OSError, AttributeError, NotImplementedError):
+        return _compiled_kernel(_extension(_library()))
+    except (OSError, ImportError, AttributeError, NotImplementedError):
         return None
-
-
-def _wrap_library(path: str) -> Callable[[Matrix, Matrix], Matrix]:
-    """A kernel for matmul that calls reidlab_matmul in the library at path."""
-    fn = ctypes.CDLL(path).reidlab_matmul
-    # Raw addresses: np.ctypeslib.ndpointer's checks would double the cost
-    # of a small call, and matmul_compiled makes every buffer it passes
-    # C-contiguous float64 itself, holding each in a local during the call.
-    fn.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_ssize_t] * 3
-    fn.restype = None
-
-    def matmul_compiled(a: Matrix, b: Matrix) -> Matrix:
-        a = np.ascontiguousarray(a, dtype=np.float64)
-        b = np.ascontiguousarray(b, dtype=np.float64)
-        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-            raise ShapeError(f"matmul kernel operands {a.shape} and {b.shape} do not chain")
-        out = np.empty((a.shape[0], b.shape[1]), dtype=np.float64)  # the kernel sets every cell
-        fn(a.ctypes.data, b.ctypes.data, out.ctypes.data, a.shape[0], a.shape[1], b.shape[1])
-        return out
-
-    return matmul_compiled
 
 
 def _agrees_with_numpy(kernel: Callable[[Matrix, Matrix], Matrix]) -> bool:

@@ -137,7 +137,11 @@ def _draw_plan(y: np.ndarray, cfg: TrainConfig) -> np.ndarray:
     shape = _plan_shape(y.size, cfg)
     sampler = Rng(cfg.seed).split("batches")
     groups = label_groups(y)
-    plan = np.empty(shape, dtype=np.int64)
+    try:
+        plan = np.empty(shape, dtype=np.int64)
+    except (MemoryError, ValueError) as exc:  # ValueError: more bytes than numpy can index
+        raise ConfigError(f"epochs={cfg.epochs}: the batch plan of shape {shape} needs "
+                          f"{math.prod(shape) * 8} bytes, more than can be allocated") from exc
     for step in plan.reshape(-1, shape[2]):
         step[:] = pk_sample(groups, cfg.p, cfg.k, sampler)
     return plan

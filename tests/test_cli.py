@@ -804,6 +804,27 @@ def test_repro_batch_plan_of_the_wrong_shape_exits_3(tmp_path, monkeypatch, caps
     assert capsys.readouterr().err.startswith("data error: batch plan (1, ")
 
 
+def test_epochs_whose_batch_plan_cannot_be_allocated_exit_2(tmp_path, monkeypatch, capsys):
+    # Every array of more than 10**8 cells is refused as numpy refuses one
+    # it cannot allocate; the test itself never asks for a huge array.
+    real_empty = np.empty
+
+    def empty(shape, *args, **kwargs):
+        if np.prod(shape, dtype=object) > 10**8:
+            raise MemoryError("cannot allocate")
+        return real_empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", empty)
+    cfg = _config(tmp_path, data=TINY_DATA, trn=TINY_TRAIN)
+    assert main(["train", "-c", str(cfg), "-o", str(tmp_path / "t"), "--set", "train.epochs=1000000000"]) == 2
+    argv = ["repro", "laziness-clean", "-o", str(tmp_path / "r"), "--epochs", "1000000000", "--jobs", "1"]
+    assert main(argv) == 2
+    train_err, repro_err = capsys.readouterr().err.splitlines()
+    for err in (train_err, repro_err):
+        assert err.startswith("config error: epochs=1000000000: the batch plan of shape (1000000000, ")
+        assert err.endswith(" bytes, more than can be allocated")
+
+
 def test_repro_fails_fast_on_unwritable_out(tmp_path, monkeypatch, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")

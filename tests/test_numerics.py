@@ -1,3 +1,4 @@
+import importlib.machinery
 import os
 import platform
 import re
@@ -224,11 +225,67 @@ def test_matmul_bitwise_for_every_operand_layout_under_each_kernel(a, b, matmul_
                                   np.ascontiguousarray(b, dtype=np.float64))
     _assert_bitwise(matmul(a, b), want)
     if matmul_kernel == "compiled":
-        # The kernel passes raw addresses, so it makes its own operands
-        # C-contiguous float64 and refuses shapes that do not chain.
+        # The kernel makes its own operands C-contiguous float64, and the
+        # extension refuses shapes that do not chain.
         _assert_bitwise(COMPILED_KERNEL(a, b), want)
         with pytest.raises(ShapeError):
             COMPILED_KERNEL(a, np.ones((b.shape[0] + 1, 3)))
+
+
+def _refusals():
+    """(label, a, b, out, error) calls the extension must refuse."""
+    a, b, out = np.ones((4, 5)), np.ones((5, 3)), np.full((4, 3), 7.0)
+    read_only = out.copy()
+    read_only.flags.writeable = False
+    square = np.ones((4, 4))
+    shared = np.ones(32)
+    yield "1-D a", np.ones(5), b, out, ShapeError
+    yield "1-D b", a, np.ones(5), out, ShapeError
+    yield "3-D out", a, b, out.reshape(4, 3, 1), ShapeError
+    yield "non-contiguous a", np.ones((4, 10))[:, ::2], b, out, ValueError
+    yield "Fortran-order b", a, np.asfortranarray(b), out, ValueError
+    yield "non-contiguous out", a, b, np.full((4, 6), 7.0)[:, ::2], ValueError
+    yield "float32 a", a.astype(np.float32), b, out, TypeError
+    yield "int64 b", a, b.astype(np.int64), out, TypeError
+    yield "float32 out", a, b, out.astype(np.float32), TypeError
+    yield "big-endian a", a.astype(">f8"), b, out, TypeError
+    yield "list a", a.tolist(), b, out, TypeError
+    yield "read-only out", a, b, read_only, ValueError
+    yield "out too wide", a, b, np.full((4, 4), 7.0), ShapeError
+    yield "out too tall", a, b, np.full((5, 3), 7.0), ShapeError
+    yield "operands do not chain", a, np.ones((6, 3)), out, ShapeError
+    yield "out is a", square, square.copy(), square, ValueError
+    yield "out overlaps b", square, shared[:16].reshape(4, 4), shared[8:24].reshape(4, 4), ValueError
+    yield "two arguments", a, b, None, TypeError
+
+
+@needs_compiled
+@pytest.mark.parametrize("a, b, out, error",
+                         [pytest.param(*case[1:], id=case[0]) for case in _refusals()])
+def test_extension_refuses_bad_buffers_and_leaves_out_untouched(a, b, out, error):
+    # The extension hands raw addresses to the kernel, so it must check
+    # every buffer itself; nothing may be written before a refusal.
+    extension = numerics._extension(numerics._library())
+    args = (a, b) if out is None else (a, b, out)
+    before = None if out is None else out.copy()
+    with pytest.raises(error) as refused:
+        extension.matmul(*args)
+    assert refused.type is error
+    if out is not None:
+        _assert_bitwise(out, before)
+    out = np.full((4, 3), 7.0)
+    assert extension.matmul(np.ones((4, 5)), np.ones((5, 3)), out) is None
+    _assert_bitwise(out, np.full((4, 3), 5.0))
+
+
+def test_library_stem_depends_on_the_extension_abi(monkeypatch):
+    source = Path(numerics._KERNEL_SOURCE).read_bytes()
+    stem = numerics._stem(source)
+    assert stem == numerics._stem(source)
+    suffixes = importlib.machinery.EXTENSION_SUFFIXES
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES",
+                        [".cpython-399-x86_64-linux-gnu.so", *suffixes[1:]])
+    assert numerics._stem(source) != stem
 
 
 # Fused multiply-add and fused multiply-subtract mnemonics: x86-64 FMA3
@@ -241,9 +298,10 @@ _FUSED = re.compile(r"\b(vfn?m(add|sub)\w*|fml[as]|fn?m(add|sub))\b")
 def test_no_instruction_set_path_of_the_compiled_kernel_fuses_multiply_and_add():
     # The library holds one function per instruction set, but the
     # self-test and the tests above run only the one this CPU dispatches to.
+    # The listing covers the extension's wrapper as well as the kernel.
     listing = subprocess.run(["objdump", "-d", "--no-show-raw-insn", numerics._library()],
                              capture_output=True, text=True, check=True, timeout=60).stdout
-    assert "reidlab_matmul" in listing
+    assert "<reidlab_matmul>:" in listing and "<PyInit__matmul>:" in listing
     fused = sorted({m.group(0) for m in _FUSED.finditer(listing)})
     assert fused == [], f"fused multiply-add instructions in the kernel: {fused}"
 
@@ -269,7 +327,12 @@ def test_each_instruction_set_path_matches_the_numpy_kernel(path, disabled, tmp_
         check = f'__builtin_cpu_supports("{feature}")'
         assert check in source
         source = source.replace(check, "0")
-    kernel = numerics._wrap_library(numerics._build(source.encode(), str(tmp_path), "_matmul"))
+    # Built and loaded as reidlab._matmul from its own path, beside the
+    # extension this process already loaded under that name.
+    library = numerics._build(source.encode(), str(tmp_path), "_matmul")
+    extension = numerics._extension(library)
+    assert extension.__file__ == library and extension.__name__ == "reidlab._matmul"
+    kernel = numerics._compiled_kernel(extension)
     with np.errstate(all="ignore"):
         assert numerics._agrees_with_numpy(kernel)
         differ = [label for label, a, b in _kernel_cases()
@@ -331,12 +394,19 @@ def test_self_test_accepts_the_triple_loop_and_the_compiled_kernel():
 
 # A child interpreter that imports numerics with its cache under the given
 # PYTHONPYCACHEPREFIX, optionally with no compiler (nothing on PATH, and
-# shutil.which finds nothing) and no way to start a process, then prints
-# the kernel it chose and whether matmul gave the numpy kernel's bits.
+# shutil.which finds nothing) or with sysconfig's include directory
+# pointed at an empty one (a compiler but no Python.h), and in both cases
+# with no way to start a process. It prints the kernel it chose and
+# whether matmul gave the numpy kernel's bits.
 _CHILD = """
-import shutil, subprocess, sys
+import shutil, subprocess, sys, sysconfig
 if sys.argv[1] == "no-compiler":
     shutil.which = lambda *args, **kwargs: None
+if sys.argv[1] == "no-headers":
+    get_path = sysconfig.get_path
+    sysconfig.get_path = lambda name, *args, **kwargs: (
+        sys.argv[2] if name == "include" else get_path(name, *args, **kwargs))
+if sys.argv[1] != "with-compiler":
     def refuse(*args, **kwargs):
         raise AssertionError("the import started a process")
     subprocess.Popen = refuse
@@ -353,11 +423,11 @@ print(numerics.MATMUL_KERNEL, same)
 def _import_in_child(cache: Path, mode: str) -> str:
     env = dict(os.environ, PYTHONPYCACHEPREFIX=str(cache))
     env["PYTHONPATH"] = str(Path(numerics.__file__).parents[1])
+    empty = cache.parent / "empty"
+    empty.mkdir(exist_ok=True)
     if mode == "no-compiler":
-        empty = cache.parent / "empty-path"
-        empty.mkdir(exist_ok=True)
         env["PATH"] = str(empty)
-    proc = subprocess.run([sys.executable, "-c", _CHILD, mode], env=env,
+    proc = subprocess.run([sys.executable, "-c", _CHILD, mode, str(empty)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
@@ -373,13 +443,23 @@ def test_second_import_loads_the_cached_library_without_a_compiler(tmp_path):
     assert _import_in_child(cache, "with-compiler") == "compiled True"
     built = _cached_libraries(cache)
     assert len(built) == 1 and built[0].suffix == ".so"
+    # Loading the cached extension needs neither a compiler nor Python.h.
     assert _import_in_child(cache, "no-compiler") == "compiled True"
+    assert _import_in_child(cache, "no-headers") == "compiled True"
     assert _cached_libraries(cache) == built
 
 
 def test_without_a_compiler_or_cache_the_numpy_kernel_runs(tmp_path):
     cache = tmp_path / "pycache"
     assert _import_in_child(cache, "no-compiler") == "numpy True"
+    assert _cached_libraries(cache) == []
+
+
+def test_without_python_headers_the_numpy_kernel_runs(tmp_path):
+    # A compiler but no Python.h: the import starts no compiler, caches
+    # nothing and selects the numpy kernel.
+    cache = tmp_path / "pycache"
+    assert _import_in_child(cache, "no-headers") == "numpy True"
     assert _cached_libraries(cache) == []
 
 
@@ -395,6 +475,21 @@ def test_damaged_cached_library_is_rebuilt_or_ignored(tmp_path, damage):
     assert _import_in_child(cache, "no-compiler") == "numpy True"
     assert _import_in_child(cache, "with-compiler") == "compiled True"
     assert all(path.suffix == ".so" for path in _cached_libraries(cache))
+
+
+@needs_compiled
+def test_cached_library_that_is_not_an_extension_selects_the_numpy_kernel(tmp_path):
+    # A whole shared library under the kernel's name and with a matching
+    # digest, but without PyInit__matmul (as a plain C library would be):
+    # the extension loader raises ImportError, and the import goes on.
+    cache = tmp_path / "pycache"
+    assert _import_in_child(cache, "with-compiler") == "compiled True"
+    (library,) = _cached_libraries(cache)
+    plain = Path(numerics._build(b"void reidlab_matmul(void) {}\n", str(tmp_path), "plain"))
+    stem = library.name[: library.name.rindex("-")]
+    library.unlink()
+    plain.rename(library.with_name(f"{stem}-{numerics._digest(plain.read_bytes())}.so"))
+    assert _import_in_child(cache, "no-compiler") == "numpy True"
 
 
 def test_pairwise_euclidean_identical_rows_exact_zero_across_blocks():

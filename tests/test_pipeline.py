@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -283,6 +284,28 @@ def test_train_on_a_batch_plan_gives_the_bytes_of_its_own_draw(tmp_path, strateg
     for other in Strategy:
         plan = batch_plan(ds, _tiny_cfg(other, epochs=3))
         assert _run_bytes(train(ds, cfg, plan), tmp_path / "plan.bin") == own, other
+
+
+@pytest.mark.parametrize("error", [MemoryError, ValueError])
+def test_batch_plan_that_cannot_be_allocated_is_a_config_error(monkeypatch, error):
+    # numpy raises MemoryError when the allocation fails and ValueError
+    # past the largest size it can index. Both are faked: a real request
+    # of that size may succeed under overcommit and then fill for hours.
+    ds = _tiny_ds()
+    cfg = _tiny_cfg(epochs=3)
+    shape = batch_plan(ds, cfg).shape
+    real_empty = np.empty
+
+    def empty(shape, *args, **kwargs):
+        if isinstance(shape, tuple) and len(shape) == 3:
+            raise error("cannot allocate")
+        return real_empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", empty)
+    want = f"epochs=3: the batch plan of shape {shape} needs {math.prod(shape) * 8} bytes"
+    for draw in (batch_plan, train):
+        with pytest.raises(ConfigError, match=re.escape(want)):
+            draw(ds, cfg)
 
 
 def test_train_rejects_a_batch_plan_that_does_not_fit():
