@@ -139,16 +139,22 @@ def _write_report(out: Path, name: str, report, q_ids, header: str) -> None:
 
 
 def cmd_eval(args) -> int:
+    if not (args.external or args.checkpoint):
+        raise ConfigError("eval needs --checkpoint (or --external files)")
+    if args.external and args.checkpoint:
+        raise ConfigError("eval takes --external files or --checkpoint, not both")
+    if args.external and args.trainset:
+        raise ConfigError("--trainset needs --checkpoint: --external files have no train split")
+    if args.checkpoint and args.fusion_op is not None:
+        raise ConfigError("--fusion-op applies to --external files: a checkpoint fuses by its strategy")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cfg = apply_overrides(load_config(args.config) if args.config else {}, args.set)
     opts = EvalOptions(**read_section(cfg, "eval"))
     if args.external:
         view, evals, summary, kind = _external_evals(args, opts)
-    elif args.checkpoint:
-        view, evals, summary, kind = _checkpoint_evals(args, cfg, opts)
     else:
-        raise ConfigError("eval needs --checkpoint (or --external files)")
+        view, evals, summary, kind = _checkpoint_evals(args, cfg, opts)
     q_ids = view.ids[view.query_rows]
     for name, features in evals:
         report = evaluate(view, features, opts.exclude_same_view, opts.max_rank)
@@ -211,7 +217,7 @@ def _external_evals(args, opts: EvalOptions) -> tuple:
         modality_names=names,
     )
     view = split_query_gallery(holder, opts.views_as_query, Rng(opts.seed).split("external-eval"))
-    op = FusionOperator(args.fusion_op)
+    op = FusionOperator(args.fusion_op or "concat")
     normalize = True if opts.normalize_first is None else opts.normalize_first
     evals = list(zip(names, view.features))
     if len(records) > 1:
@@ -280,7 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint")
     p.add_argument("--trainset", action="store_true", help="evaluate on the train split")
     p.add_argument("--external", nargs="+", metavar="FILE", help="embedding files; skips the model")
-    p.add_argument("--fusion-op", choices=[o.value for o in FusionOperator], default="concat")
+    p.add_argument(
+        "--fusion-op", choices=[o.value for o in FusionOperator],
+        help="how --external files are fused (default concat)",
+    )
     p.add_argument("--set", action="append", metavar="KEY.PATH=VALUE")
     p.set_defaults(func=cmd_eval)
 

@@ -104,42 +104,15 @@ def cosine_distance(q, g) -> Matrix:
     return _distances_of_dots(matmul(uq, ug.T))
 
 
-def _band_offsets(
-    row: np.ndarray,
-    near: np.ndarray,
-    rel: np.ndarray,
-    dist: np.ndarray,
-    closer: np.ndarray,
-    tied: np.ndarray,
-) -> np.ndarray:
-    """What to add to the slot positions closer + arange(r) of one query's
-    relevant entries to get their ranks, for a query with a near entry
-    tied with one of them.
-
-    row holds the query's distances; near masks its near set, the kept
-    non-relevant entries at or below its farthest relevant distance; rel
-    holds the relevant gallery indices. dist, closer and tied follow the
-    relevant entries in ascending distance: their distances, the near
-    entries closer than each, and whether a near entry ties with it. Only
-    ties need gallery indices, so only the entries from the lowest tied
-    distance to the highest are ranked, by one sort of (distance, gallery
-    index) keys.
-    """
-    # The band spans the sorted slots start .. start + band.size - 1; an
-    # entry outside it is closer or farther than every tied relevant entry.
-    tied_at = np.flatnonzero(tied)
-    first, last = tied_at[0], tied_at[-1]
-    band = np.flatnonzero(near & (row >= dist[first]) & (row <= dist[last]))
-    start = closer[first]
-    ranks = np.unique(np.concatenate([row[band], row[rel]]), return_inverse=True)[1]
-    # Keys (distance rank, gallery index, 1 if relevant), sorted.
-    keys = (ranks * row.size + np.concatenate([band, rel])) * 2
-    keys[band.size :] += 1
-    keys.sort()
-    is_rel = (keys & 1).astype(bool)
-    # Band entries ahead of each relevant entry, less those that closer
-    # already counted.
-    return np.cumsum(~is_rel)[is_rel] - np.clip(closer - start, 0, band.size)
+def _stable_ranks(row: np.ndarray, near: np.ndarray, rel: np.ndarray) -> np.ndarray:
+    """The ranks of one query's relevant entries, ascending: their positions
+    when its near entries (the mask near) and relevant entries (the gallery
+    indices rel), taken in gallery order, are sorted stably by their
+    distances in row, that is, in (distance, gallery index) order."""
+    is_rel = np.zeros(row.size, dtype=bool)
+    is_rel[rel] = True
+    cols = np.flatnonzero(near | is_rel)
+    return np.flatnonzero(is_rel[cols[np.argsort(row[cols], kind="stable")]])
 
 
 def _rank_queries(
@@ -166,8 +139,10 @@ def _rank_queries(
     not the gallery's. If no near entry ties with any relevant entry of
     its query, the relevant entry in slot s of that query's ascending
     distances has rank closer + s, closer being the near entries below it.
-    Rows are ranked that way a block at a time; only a query with such a
-    tie goes through _band_offsets.
+    Rows are ranked that way a block at a time. Only a query with such a
+    tie consults gallery indices: _stable_ranks sorts its near and relevant
+    entries, in gallery order, stably by distance, and each relevant
+    entry's rank is its position in that order.
     """
     q_ids = np.asarray(q_ids)
     g_ids = np.asarray(g_ids)
@@ -244,9 +219,7 @@ def _rank_queries(
         rel_start = np.cumsum(count) - count
         for b in np.flatnonzero(tied.any(axis=1)):
             r = count[b]
-            pos[b, :r] += _band_offsets(
-                d[b], near[b], rel_col[rel_start[b] : rel_start[b] + r], dist[b, :r], closer[b, :r], tied[b, :r]
-            )
+            pos[b, :r] = _stable_ranks(d[b], near[b], rel_col[rel_start[b] : rel_start[b] + r])
         # AP is the mean over the r relevant entries of k / (rank_k + 1).
         # Each row's sum runs over exactly its r terms, the same pairwise
         # sum as for that row alone, so rows are taken in groups of one r.

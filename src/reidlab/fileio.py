@@ -271,8 +271,8 @@ def write_run_record(rec: RunRecord, outdir, extra: Optional[dict] = None) -> No
     outdir.mkdir(parents=True, exist_ok=True)
     snapshot = {
         "config": config_dict(rec.config),
-        "config_hash": rec.config_hash,
-        "seed": rec.seed,
+        "config_hash": config_hash(rec.config),
+        "seed": rec.config.seed,
     }
     if extra:
         snapshot.update(extra)

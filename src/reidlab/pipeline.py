@@ -49,23 +49,11 @@ def config_hash(obj) -> str:
 
 
 @dataclass
-class OptState:
-    velocity: dict
-    step: int = 0
-
-    @classmethod
-    def for_params(cls, trainables: Sequence) -> "OptState":
-        return cls(velocity={key: np.zeros_like(arr) for key, arr in trainables})
-
-
-@dataclass
 class RunRecord:
     config: TrainConfig
-    seed: int
     epoch_losses: np.ndarray
     epoch_lrs: np.ndarray
     model: ModelParams
-    config_hash: str
 
 
 def pk_sample(groups: tuple[np.ndarray, list], p: int, k: int, rng: Rng) -> np.ndarray:
@@ -99,21 +87,19 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
     return lr_min + 0.5 * (cfg.lr_base - lr_min) * (1.0 + math.cos(math.pi * t))
 
 
-def sgd_step(
-    trainables: Sequence, grads: dict, state: OptState, lr: float, momentum: float
-) -> None:
-    """v <- momentum*v + g; p <- p - lr*v, in place on the live buffers."""
+def sgd_step(trainables: Sequence, grads: dict, velocity: dict, lr: float, momentum: float) -> None:
+    """v <- momentum*v + g; p <- p - lr*v, in place on the live buffers and
+    on velocity, which maps each trainable's key to its v."""
     for key, param in trainables:
         if key not in grads:
             raise ShapeError(f"missing gradient for parameter {key!r}")
         g = grads[key]
         if g.shape != param.shape:
             raise ShapeError(f"gradient shape {g.shape} != param shape {param.shape} for {key!r}")
-        v = state.velocity[key]
+        v = velocity[key]
         v *= momentum
         v += g
         param -= lr * v
-    state.step += 1
 
 
 def _train_labels(ds: MultimodalDataset, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -229,7 +215,7 @@ def train(ds: MultimodalDataset, cfg: TrainConfig, plan: Optional[np.ndarray] = 
         embed_dim=cfg.embed_dim,
     )
     trainables = iter_trainables(model)
-    opt = OptState.for_params(trainables)
+    velocity = {key: np.zeros_like(arr) for key, arr in trainables}
     epoch_losses = np.empty(cfg.epochs, dtype=np.float64)
     epoch_lrs = np.empty(cfg.epochs, dtype=np.float64)
 
@@ -240,19 +226,12 @@ def train(ds: MultimodalDataset, cfg: TrainConfig, plan: Optional[np.ndarray] = 
             loss, grads = batch_gradients(model, [x[idx] for x in xs], y[idx], cfg.loss)
             if not math.isfinite(loss):
                 raise NumericError(f"training loss diverged at epoch {epoch}, batch {b}")
-            sgd_step(trainables, grads, opt, lr, cfg.momentum)
+            sgd_step(trainables, grads, velocity, lr, cfg.momentum)
             batch_losses[b] = loss
         epoch_losses[epoch] = batch_losses.mean()
         epoch_lrs[epoch] = lr
     model.validate()
-    return RunRecord(
-        config=cfg,
-        seed=cfg.seed,
-        epoch_losses=epoch_losses,
-        epoch_lrs=epoch_lrs,
-        model=model,
-        config_hash=config_hash(cfg),
-    )
+    return RunRecord(config=cfg, epoch_losses=epoch_losses, epoch_lrs=epoch_lrs, model=model)
 
 
 def carve_validation(ds: MultimodalDataset, rng: Rng, id_fraction: float = 0.1) -> MultimodalDataset:

@@ -533,6 +533,25 @@ def test_eval_external_files(tmp_path):
     assert main(["eval", "--external", str(f1), str(bad), "-o", str(tmp_path / "z")]) == 3
 
 
+def test_eval_flags_it_cannot_honour_are_config_errors(tmp_path, capsys):
+    cfg, run = _trained_dir(tmp_path)
+    ds = generate(SynthConfig(**TINY_DATA))
+    ext = tmp_path / "a.uceb"
+    write_embedding_file(ext, "mod0", ds.features[0], ds.ids, ds.view_ids)
+    ckpt = ["-c", str(cfg), "--checkpoint", str(run / "checkpoint.bin")]
+    cases = {
+        "--trainset": ["--external", str(ext), str(ext), "--trainset"],
+        "not both": ["--external", str(ext), *ckpt],
+        "--fusion-op": [*ckpt, "--fusion-op", "average"],
+    }
+    capsys.readouterr()
+    for message, argv in cases.items():
+        out = tmp_path / "x"
+        assert main(["eval", "-o", str(out), *argv]) == 2, argv
+        assert message in capsys.readouterr().err, argv
+        assert not out.exists(), argv
+
+
 # sha256 of every file `eval` writes, and of the grid's selection.json, on
 # EVAL_DATA. Every query's AP on each split and selector goes into them.
 EVAL_DATA = dict(TINY_DATA, ids_train=30, ids_test=10, views_per_id=6, noise_sigma=1.0, view_jitter=0.5)

@@ -297,7 +297,7 @@ def test_cmc_map_row_blocks_match_reference(monkeypatch):
         _assert_matches_argsort_reference(d, q_ids, g_ids, q_views, g_views, excl, 10)
 
 
-def test_cmc_map_one_block_mixes_counts_skips_and_band_rows(monkeypatch):
+def test_cmc_map_one_block_mixes_counts_skips_and_tied_rows(monkeypatch):
     rng = np.random.default_rng(8)
     # Gallery ids 0..3 hold 1, 3, 6 and 10 entries; id 9 has none.
     g_ids = rng.permutation(np.repeat(np.arange(4), [1, 3, 6, 10]))
@@ -307,15 +307,15 @@ def test_cmc_map_one_block_mixes_counts_skips_and_band_rows(monkeypatch):
     d = rng.uniform(size=(nq, ng))
     d[::2] = np.round(d[::2], 1)  # every other row ties across ids
     monkeypatch.setattr(evalkit, "_RANK_BLOCK_CELLS", nq * ng)  # one block
-    band_rows = []
-    real_band_offsets = evalkit._band_offsets
-    monkeypatch.setattr(evalkit, "_band_offsets",
-                        lambda *args: band_rows.append(1) or real_band_offsets(*args))
+    tied_rows = []
+    real_stable_ranks = evalkit._stable_ranks
+    monkeypatch.setattr(evalkit, "_stable_ranks",
+                        lambda *args: tied_rows.append(1) or real_stable_ranks(*args))
     for excl in (False, True):
-        band_rows.clear()
+        tied_rows.clear()
         rep = _assert_matches_argsort_reference(d, q_ids, g_ids, q_views, g_views, excl, 5)
         assert rep.num_skipped_queries >= 2
-        assert 0 < len(band_rows) < nq - rep.num_skipped_queries
+        assert 0 < len(tied_rows) < nq - rep.num_skipped_queries
 
 
 def _gallery_1000x4000(seed):
@@ -437,15 +437,16 @@ def _adversarial_sets(rng, case):
 
 
 def test_evaluate_bytes_equal_exact_matrix_ranking(monkeypatch, matmul_kernel):
-    # Rows whose relevant entries tie with non-relevant ones take the band step.
-    band_calls = []
-    real_band_offsets = evalkit._band_offsets
-    monkeypatch.setattr(evalkit, "_band_offsets",
-                        lambda *args: band_calls.append(1) or real_band_offsets(*args))
+    # Rows whose relevant entries tie with non-relevant ones are ranked by
+    # the stable sort.
+    tied_calls = []
+    real_stable_ranks = evalkit._stable_ranks
+    monkeypatch.setattr(evalkit, "_stable_ranks",
+                        lambda *args: tied_calls.append(1) or real_stable_ranks(*args))
     rng = np.random.default_rng(31)
     seen = dict.fromkeys(
         ["duplicate", "scaled", "ulp", "rounded", "scale 1e-160", "scale 1e+150", "dim 1",
-         "single query", "single gallery", "excl", "skipped", "max_rank > ng", "band",
+         "single query", "single gallery", "excl", "skipped", "max_rank > ng", "tied",
          "reports"], 0)
     for case in range(320):
         ds, f, kinds = _adversarial_sets(rng, case)
@@ -453,7 +454,7 @@ def test_evaluate_bytes_equal_exact_matrix_ranking(monkeypatch, matmul_kernel):
         excl = bool(case % 2)
         max_rank = int(rng.integers(1, ng + 5))
         want = _exact_report_bytes(ds, f, excl, max_rank)
-        band_calls.clear()
+        tied_calls.clear()
         assert _evaluate_report_bytes(ds, f, excl, max_rank) == want, case
         for kind in kinds:
             seen[kind] += 1
@@ -462,7 +463,7 @@ def test_evaluate_bytes_equal_exact_matrix_ranking(monkeypatch, matmul_kernel):
         seen["single gallery"] += int(ng == 1)
         seen["excl"] += int(excl)
         seen["max_rank > ng"] += int(max_rank > ng)
-        seen["band"] += int(len(band_calls) > 0)
+        seen["tied"] += int(len(tied_calls) > 0)
         if isinstance(want[0], str):
             seen["reports"] += 1
             seen["skipped"] += int(want[2] > 0)

@@ -197,7 +197,8 @@ def test_loss_curve_csv_and_run_record(tmp_path):
     outdir = tmp_path / "run"
     write_run_record(rec, outdir, extra={"note": "demo"})
     snapshot = json.loads((outdir / "config.json").read_text())
-    assert snapshot["config_hash"] == rec.config_hash
+    assert snapshot["config_hash"] == config_hash(rec.config)
+    assert snapshot["seed"] == rec.config.seed
     assert snapshot["config"]["strategy"] == "fusion-concat"
     assert snapshot["note"] == "demo"
     assert (outdir / "loss_curve.csv").read_text() == csv
