@@ -71,7 +71,9 @@ def apply_overrides(cfg: dict, sets: list) -> dict:
             raise ConfigError(f"--set {item!r}: cannot parse value") from None
         node = cfg
         for k in keys[:-1]:
-            node = node.setdefault(k, {})
+            if node.get(k) is None:  # an absent or null section
+                node[k] = {}
+            node = node[k]
             if not isinstance(node, dict):
                 raise ConfigError(f"--set {item!r}: {k!r} is not a mapping")
         node[keys[-1]] = value
@@ -233,6 +235,9 @@ def _external_evals(args, opts: EvalOptions) -> tuple:
 
 
 def cmd_repro(args) -> int:
+    for flag, value in (("--seeds", args.seeds), ("--jobs", args.jobs), ("--epochs", args.epochs)):
+        if value is not None and value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
     seeds = list(range(args.seed_base, args.seed_base + args.seeds))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

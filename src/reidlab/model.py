@@ -6,8 +6,9 @@ Conventions (the usual strong-baseline recipe):
 - the BNNeck has a learned scale gamma but no additive shift, and the
   classifier is bias-free;
 - train mode normalizes by batch statistics (biased variance) and
-  updates running statistics with momentum 0.1, storing the unbiased
-  variance; eval mode normalizes by running statistics.
+  always moves the running statistics toward them with momentum 0.1,
+  storing the unbiased variance; eval mode normalizes by running
+  statistics and leaves them as they are.
 
 Under fusion strategies the streams have no classifiers; one fused
 BNNeck + classifier sits on top of the fused embedding. Stream BNNecks
@@ -17,7 +18,10 @@ retrieval features are always post-BN, whatever the strategy.
 A head is a BNNeck plus an optional classifier: each stream's (a
 StreamParams) and the fused one (a Head). head_forward and head_backward
 are the only BNNeck + classifier code; stream_forward and
-stream_backward wrap them around the stream's MLP.
+stream_backward wrap them around the stream's MLP. A forward pass
+returns one HeadOutput; in train mode it also holds everything the
+backward pass reads (the normalized embedding, the inverse batch std
+and, for a stream, each layer's input).
 """
 
 from __future__ import annotations
@@ -188,31 +192,25 @@ def init_model(
 
 
 @dataclass
-class BnCache:
-    z: Matrix
-    mu: np.ndarray
-    inv_std: np.ndarray
-    z_hat: Matrix
-
-
-@dataclass
-class StreamCache:
-    hiddens: list  # inputs to each layer: h_0 = x, h_1 = relu(a_1), ...
-    pre_acts: list  # pre-activation of each hidden layer
-
-
-@dataclass
 class HeadOutput:
+    """A head's forward pass. A train-mode output also keeps what backward
+    reads; those fields are None in eval mode."""
+
     z: Matrix  # the pre-BN embedding fed into the head
     z_bn: Matrix
     logits: Optional[Matrix]  # None for a head without a classifier
-    bn_cache: Optional[BnCache]  # None in eval mode
-    cache: Optional[StreamCache] = None  # a stream's MLP caches, train mode only
+    z_hat: Optional[Matrix] = None  # z normalized by the batch statistics
+    inv_std: Optional[np.ndarray] = None  # 1 / sqrt(batch variance + eps)
+    hiddens: Optional[list] = None  # a stream's layer inputs: h_0 = x, h_1 = relu(a_1), ...
 
 
-def _bn_forward(
-    bn: BnNeck, z: Matrix, train: bool, update_running: bool
-) -> tuple[Matrix, Optional[BnCache]]:
+def head_forward(head: Union[Head, StreamParams], z: Matrix, train: bool) -> HeadOutput:
+    """BNNeck -> z_bn; classifier (if any) -> logits. Train mode normalizes
+    by the batch statistics and moves the running statistics toward them."""
+    bn = head.bn
+    if z.shape[1] != bn.gamma.shape[0]:
+        raise ShapeError(f"embedding dim {z.shape[1]} does not match head dim {bn.gamma.shape[0]}")
+    z_hat = inv_std = None
     if train:
         n = z.shape[0]
         if n < 2:
@@ -224,62 +222,29 @@ def _bn_forward(
         var_b = np.add.reduce(centered * centered, axis=0) / n
         inv_std = 1.0 / np.sqrt(var_b + bn.eps)
         z_hat = centered * inv_std
-        if update_running:
-            var_u = var_b * (n / (n - 1.0))
-            bn.running_mean += bn.momentum * (mu - bn.running_mean)
-            bn.running_var += bn.momentum * (var_u - bn.running_var)
-        return bn.gamma * z_hat, BnCache(z=z, mu=mu, inv_std=inv_std, z_hat=z_hat)
-    z_hat = (z - bn.running_mean) / np.sqrt(bn.running_var + bn.eps)
-    return bn.gamma * z_hat, None
-
-
-def _bn_backward(bn: BnNeck, cache: BnCache, grad_z_bn: Matrix) -> tuple[Matrix, np.ndarray]:
-    """Exact gradient through train-mode batch normalization."""
-    n = cache.z.shape[0]
-    grad_gamma = np.sum(grad_z_bn * cache.z_hat, axis=0)
-    g_hat = grad_z_bn * bn.gamma
-    sum_g = g_hat.sum(axis=0)
-    sum_gz = np.sum(g_hat * cache.z_hat, axis=0)
-    grad_z = (cache.inv_std / n) * (n * g_hat - sum_g - cache.z_hat * sum_gz)
-    return grad_z, grad_gamma
-
-
-def head_forward(
-    head: Union[Head, StreamParams], z: Matrix, train: bool, update_running: bool = True
-) -> HeadOutput:
-    """BNNeck -> z_bn; classifier (if any) -> logits."""
-    if z.shape[1] != head.bn.gamma.shape[0]:
-        raise ShapeError(f"embedding dim {z.shape[1]} does not match head dim {head.bn.gamma.shape[0]}")
-    z_bn, bn_cache = _bn_forward(head.bn, z, train, update_running)
+        var_u = var_b * (n / (n - 1.0))
+        bn.running_mean += bn.momentum * (mu - bn.running_mean)
+        bn.running_var += bn.momentum * (var_u - bn.running_var)
+        z_bn = bn.gamma * z_hat
+    else:
+        z_bn = bn.gamma * ((z - bn.running_mean) / np.sqrt(bn.running_var + bn.eps))
     logits = matmul(z_bn, head.classifier.T) if head.classifier is not None else None
-    return HeadOutput(z=z, z_bn=z_bn, logits=logits, bn_cache=bn_cache)
+    return HeadOutput(z=z, z_bn=z_bn, logits=logits, z_hat=z_hat, inv_std=inv_std)
 
 
-def stream_forward(
-    params: StreamParams, x: Matrix, train: bool, update_running: bool = True
-) -> HeadOutput:
-    """MLP -> z, then the stream's head; train mode keeps the MLP caches."""
+def stream_forward(params: StreamParams, x: Matrix, train: bool) -> HeadOutput:
+    """MLP -> z, then the stream's head; train mode keeps the layer inputs."""
     x = as_matrix(x, "x")
     if x.shape[1] != params.weights[0].shape[1]:
         raise ShapeError(
             f"input dim {x.shape[1]} does not match stream input dim {params.weights[0].shape[1]}"
         )
     hiddens = [x]
-    pre_acts = []
-    h = x
-    last = len(params.weights) - 1
-    for l, w in enumerate(params.weights):
-        a = matmul(h, w.T)
-        if l < last:
-            a = a + params.biases[l]
-            pre_acts.append(a)
-            h = np.maximum(a, 0.0)
-            hiddens.append(h)
-        else:
-            z = a
-    out = head_forward(params, z, train, update_running)
+    for w, b in zip(params.weights, params.biases):
+        hiddens.append(np.maximum(matmul(hiddens[-1], w.T) + b, 0.0))
+    out = head_forward(params, matmul(hiddens[-1], params.weights[-1].T), train)
     if train:
-        out.cache = StreamCache(hiddens=hiddens, pre_acts=pre_acts)
+        out.hiddens = hiddens
     return out
 
 
@@ -296,8 +261,8 @@ def head_backward(
     be None (treated as zero). The classifier gradient is None only for a
     head without a classifier, and the BN running statistics are None.
     """
-    if output.bn_cache is None:
-        raise StateError("head_backward requires a train-mode output with caches")
+    if output.z_hat is None:
+        raise StateError("head_backward requires a train-mode output")
     total_gz = np.zeros_like(output.z) if grad_z is None else np.array(grad_z, dtype=np.float64)
     if total_gz.shape != output.z.shape:
         raise ShapeError(f"grad_z shape {total_gz.shape} does not match z shape {output.z.shape}")
@@ -312,8 +277,14 @@ def head_backward(
             )
         grad_classifier = matmul(grad_logits.T, output.z_bn)
         g_zbn = matmul(grad_logits, head.classifier)
-        g_from_bn, grad_gamma = _bn_backward(head.bn, output.bn_cache, g_zbn)
-        total_gz = total_gz + g_from_bn
+        # exact gradient through train-mode batch normalization
+        n = output.z.shape[0]
+        z_hat = output.z_hat
+        grad_gamma = np.sum(g_zbn * z_hat, axis=0)
+        g_hat = g_zbn * head.bn.gamma
+        sum_g = g_hat.sum(axis=0)
+        sum_gz = np.sum(g_hat * z_hat, axis=0)
+        total_gz = total_gz + (output.inv_std / n) * (n * g_hat - sum_g - z_hat * sum_gz)
     bn = BnNeck(grad_gamma, running_mean=None, running_var=None)
     return Head(bn=bn, classifier=grad_classifier), total_gz
 
@@ -325,16 +296,18 @@ def stream_backward(
     grad_logits: Optional[Matrix],
 ) -> StreamParams:
     """Exact gradients for one stream, in the stream's own structure:
-    head_backward on its BNNeck and classifier, then back through the MLP."""
+    head_backward on its BNNeck and classifier, then back through the MLP.
+    A hidden unit passes gradient only where its ReLU output is > 0, so
+    relu'(0) = 0."""
     head, g = head_backward(params, output, grad_z, grad_logits)
-    cache = output.cache
+    hiddens = output.hiddens
     grads_w = [None] * len(params.weights)
     grads_b = [None] * len(params.biases)
     last = len(params.weights) - 1
     for l in range(last, -1, -1):
         if l < last:
-            g = g * (cache.pre_acts[l] > 0)
-        grads_w[l] = matmul(g.T, cache.hiddens[l])
+            g = g * (hiddens[l + 1] > 0)
+        grads_w[l] = matmul(g.T, hiddens[l])
         if l < last:
             grads_b[l] = g.sum(axis=0)
         if l > 0:

@@ -150,30 +150,24 @@ def batch_gradients(
     x_batch: Sequence,
     y_batch: np.ndarray,
     loss_cfg: LossConfig,
-    update_running: bool = True,
 ) -> tuple[float, dict]:
     """One strategy-aware forward/backward on a fixed batch.
 
     The loss is attached to the fused head under fusion strategies and to
     every stream's head under unicat; the batch loss is the in-order sum
     of those heads' combined losses. Returns it and gradients keyed like
-    iter_trainables. With update_running=False the forward leaves BN
-    running statistics untouched (loss values are unaffected: train mode
-    normalizes by batch statistics), which makes repeated evaluation
-    side-effect free for finite-difference checking.
+    iter_trainables. The forward moves every BN running statistic; the
+    loss does not read them (train mode normalizes by batch statistics).
     """
     num_streams = model.num_streams
     if len(x_batch) != num_streams:
         raise ShapeError(f"{len(x_batch)} input blocks for {num_streams} streams")
-    outs = [
-        stream_forward(model.streams[i], x_batch[i], train=True, update_running=update_running)
-        for i in range(num_streams)
-    ]
+    outs = [stream_forward(model.streams[i], x_batch[i], train=True) for i in range(num_streams)]
     fusion = model.strategy.is_fusion
     if fusion:
         op = inference_fusion_op(model.strategy)
         z_fuse = fuse([o.z for o in outs], op)
-        fused_out = head_forward(model.fused, z_fuse, train=True, update_running=update_running)
+        fused_out = head_forward(model.fused, z_fuse, train=True)
     loss = 0.0
     head_grads = []  # (grad at z, grad at logits) per loss head, then per stream
     for out in [fused_out] if fusion else outs:

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from reidlab.model import init_model, iter_trainables, stream_forward
-from reidlab.numerics import Rng, pairwise_euclidean
+from reidlab.numerics import Rng, matmul, pairwise_euclidean
 from reidlab.objectives import (
     FusionOperator,
     LossConfig,
@@ -230,13 +230,10 @@ def try_draw_fd_case(rng):
     y = np.repeat(np.arange(p), k)
     cfg = LossConfig(lambda_ce=1.0, margin=0.1)
 
-    outs = [
-        stream_forward(model.streams[i], x[i], train=True, update_running=False)
-        for i in range(M)
-    ]
-    for o in outs:
-        for pa in o.cache.pre_acts:
-            if np.min(np.abs(pa)) < PREACT_MARGIN:
+    outs = [stream_forward(model.streams[i], x[i], train=True) for i in range(M)]
+    for s, o in zip(model.streams, outs):
+        for h, w, b in zip(o.hiddens, s.weights, s.biases):
+            if np.min(np.abs(matmul(h, w.T) + b)) < PREACT_MARGIN:
                 return None
     if strategy.is_fusion:
         zf = fuse([o.z for o in outs], inference_fusion_op(strategy))
@@ -246,7 +243,7 @@ def try_draw_fd_case(rng):
         for o in outs:
             if not _mining_gaps_ok(o.z, y):
                 return None
-    _, grads = batch_gradients(model, x, y, cfg, update_running=False)
+    _, grads = batch_gradients(model, x, y, cfg)
     inert = {f"stream{i}.gamma" for i in range(M)} if strategy.is_fusion else set()
     for key, g in grads.items():
         g = np.asarray(g)
@@ -280,12 +277,12 @@ def flat_objective(model, x, y, cfg):
             a[...] = vec[o : o + s].reshape(a.shape)
 
     base = np.concatenate([a.ravel() for _, a in trainables])
-    _, grads = batch_gradients(model, x, y, cfg, update_running=False)
+    _, grads = batch_gradients(model, x, y, cfg)
     gvec = np.concatenate([np.asarray(grads[k]).ravel() for k in keys])
 
     def f(vec):
         unpack(vec)
-        val, _ = batch_gradients(model, x, y, cfg, update_running=False)
+        val, _ = batch_gradients(model, x, y, cfg)
         return val
 
     return f, base, gvec, unpack

@@ -76,6 +76,30 @@ def test_apply_overrides_paths_and_scalars():
         apply_overrides({}, ["data.nope=1"])
 
 
+@pytest.mark.parametrize("section", ["train", "train.grid"])
+def test_set_into_a_null_section_writes_the_bytes_of_no_section(tmp_path, section):
+    # A bare "train:" or "grid:" line is YAML null, which counts as absent.
+    if section == "train":
+        trn, bare_line, with_null = None, "train:\n", None
+        sets = [f"train.{key}={json.dumps(value)}" for key, value in TINY_TRAIN.items()]
+    else:
+        trn, bare_line, with_null = TINY_TRAIN, "  grid:\n", dict(TINY_TRAIN, grid=None)
+        sets = ["train.grid.batch_sizes=[4]", "train.grid.lr_values=[0.05]"]
+    without = _config(tmp_path, "without.yaml", data=TINY_DATA, trn=trn)
+    bare = tmp_path / "bare.yaml"
+    bare.write_text(without.read_text(encoding="utf-8") + bare_line, encoding="utf-8")
+    assert yaml.safe_load(bare.read_text(encoding="utf-8")) == {"data": TINY_DATA, "train": with_null}
+    runs = []
+    for cfg in (without, bare):
+        out = tmp_path / f"out_{cfg.stem}"
+        argv = ["train", "-c", str(cfg), "-o", str(out)]
+        for item in sets:
+            argv += ["--set", item]
+        assert main(argv) == 0
+        runs.append({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()})
+    assert runs[0] == runs[1] and len(runs[0]) >= 3
+
+
 # ----------------------------------------------------------------- cmd_gen
 
 def test_gen_writes_dataset_and_is_deterministic(tmp_path):
@@ -867,11 +891,15 @@ def test_repro_failed_write_exits_3_and_leaves_no_file(tmp_path, monkeypatch, ca
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("jobs", ["0", "-1"])
-def test_repro_rejects_nonpositive_jobs(tmp_path, capsys, jobs):
-    argv = ["repro", "ensemble", "-o", str(tmp_path / "x"), "--seeds", "1", "--jobs", jobs]
-    assert main(argv) == 2
-    assert "config error" in capsys.readouterr().err
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_repro_rejects_nonpositive_jobs(tmp_path, capsys, value):
+    # --seeds, --jobs and --epochs alike, before -o is created
+    out = tmp_path / "x"
+    for flag in ("--seeds", "--jobs", "--epochs"):
+        argv = ["repro", "ensemble", "-o", str(out), "--seeds", "1", "--jobs", "1", flag, value]
+        assert main(argv) == 2, flag
+        assert capsys.readouterr().err == f"config error: {flag} must be >= 1, got {value}\n"
+        assert not out.exists(), flag
 
 
 def test_repro_rejects_unknown_suite(capsys):

@@ -337,7 +337,7 @@ def test_unicat_streams_match_solo_training_bitwise():
         assert np.array_equal(js.classifier, ss.classifier)
 
 
-def test_batch_gradients_update_running_flag():
+def test_batch_gradients_moves_running_stats_not_loss():
     ds = _tiny_ds()
     rec = train(ds, _tiny_cfg(epochs=2))
     model = rec.model
@@ -345,11 +345,9 @@ def test_batch_gradients_update_running_flag():
     xs = [f[rows] for f in ds.features]
     y = np.searchsorted(np.unique(ds.ids[ds.train_rows]), ds.ids[rows])
     before = [s.bn.running_mean.copy() for s in model.streams]
-    loss_frozen, _ = batch_gradients(model, xs, y, _tiny_cfg().loss, update_running=False)
-    for s, rm in zip(model.streams, before):
-        assert np.array_equal(s.bn.running_mean, rm)
-    loss_live, _ = batch_gradients(model, xs, y, _tiny_cfg().loss, update_running=True)
-    assert loss_live == loss_frozen  # train mode normalizes by batch stats
+    loss_first, _ = batch_gradients(model, xs, y, _tiny_cfg().loss)
+    loss_again, _ = batch_gradients(model, xs, y, _tiny_cfg().loss)
+    assert loss_again == loss_first  # train mode normalizes by batch stats
     assert not np.array_equal(model.streams[0].bn.running_mean, before[0])
     with pytest.raises(ShapeError):
         batch_gradients(model, xs[:1], y, _tiny_cfg().loss)
@@ -363,11 +361,11 @@ def test_batch_loss_sums_the_loss_heads_in_order():
     cfg = LossConfig(lambda_ce=0.7, margin=0.1)
     for strat in Strategy:
         model = init_model(dims, ["a", "b", "c"], strat, 4, Rng(31), hidden_dims=(7,), embed_dim=3)
-        loss, _ = batch_gradients(model, x, y, cfg, update_running=False)
-        outs = [stream_forward(s, xi, train=True, update_running=False) for s, xi in zip(model.streams, x)]
+        loss, _ = batch_gradients(model, x, y, cfg)
+        outs = [stream_forward(s, xi, train=True) for s, xi in zip(model.streams, x)]
         if strat.is_fusion:
             z_fuse = fuse([o.z for o in outs], inference_fusion_op(strat))
-            head = head_forward(model.fused, z_fuse, train=True, update_running=False)
+            head = head_forward(model.fused, z_fuse, train=True)
             assert loss == combined_loss(head.z, head.logits, y, cfg)[0]
         else:
             want = 0.0
