@@ -329,6 +329,17 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return 3
+    except (MemoryError, OverflowError, ValueError) as exc:
+        # numpy refusing an array size that a configured count or width asks
+        # for: more than can be allocated (MemoryError), indexed or summed
+        # without wrapping negative (these ValueErrors) or passed as a C long
+        # (OverflowError). Any other ValueError is a bug and keeps its traceback.
+        if isinstance(exc, ValueError) and not str(exc).startswith(
+            ("Maximum allowed", "array is too big", "negative dimensions")
+        ):
+            raise
+        print(f"config error: {exc}; a configured size is too large", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

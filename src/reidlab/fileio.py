@@ -12,9 +12,10 @@ Embedding file layout (little-endian throughout):
     24+L    ...   N records of { id: 8-byte unsigned, view_id: 4-byte
                   unsigned, D float32 values }
 
-Features are float32 on disk and float64 in memory; the write-side
-conversion is the only lossy step and is documented here. Everything
-else round-trips exactly.
+Features are float32 on disk and stay float32 in memory; every
+computation upcasts the rows it reads to float64, which is exact. The
+write-side conversion of float64 features is the only lossy step and is
+documented here. Everything else round-trips exactly.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class EmbeddingRecord:
     """In-memory form of one embedding file."""
 
     name: str
-    features: np.ndarray  # (n, d) float64 (float32 precision)
+    features: np.ndarray  # (n, d) float32, as stored; computations upcast it
     ids: np.ndarray  # (n,) int64
     view_ids: np.ndarray  # (n,) int64
 
@@ -156,7 +157,7 @@ def read_embedding_file(path) -> EmbeddingRecord:
         raise DataError(f"{path}: ids must be below 2**63")
     ids = payload["id"].astype(np.int64)
     view_ids = payload["view"].astype(np.int64)
-    features = payload["feat"].astype(np.float64).reshape(n, d)
+    features = np.ascontiguousarray(payload["feat"], dtype=np.float32).reshape(n, d)
     if not np.all(np.isfinite(features)):
         raise DataError(f"{path}: embeddings contain non-finite values")
     return EmbeddingRecord(name=name, features=features, ids=ids, view_ids=view_ids)

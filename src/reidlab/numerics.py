@@ -37,11 +37,17 @@ def as_matrix(a, name: str = "array", check_finite: bool = True) -> Matrix:
         check_finite: reject NaN/Inf entries when True.
     """
     m = np.ascontiguousarray(a, dtype=np.float64)
+    check_matrix(m, name, check_finite)
+    return m
+
+
+def check_matrix(m: np.ndarray, name: str = "array", check_finite: bool = True) -> None:
+    """as_matrix's checks on an array of any numeric dtype: they pass for a
+    float32 array exactly when they pass for its float64 upcast."""
     if m.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got shape {m.shape}")
     if check_finite and not np.isfinite(m).all():
         raise NumericError(f"{name} contains non-finite entries")
-    return m
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-from .numerics import Matrix, as_matrix, pairwise_euclidean
+from .numerics import Matrix, as_matrix, check_matrix, pairwise_euclidean
 
 
 class FusionOperator(enum.Enum):
@@ -192,32 +192,43 @@ def fuse(
     """Combine per-stream embeddings: row-wise concat or element-wise mean.
 
     normalize_first L2-normalizes each stream's rows before combining
-    (an inference-time option; training never sets it).
+    (an inference-time option; training never sets it). Each stream is
+    upcast into its own float64 block of one output, so a float32 stream
+    (as read from a .uceb file) is never held as a float64 copy beside it.
     """
     if len(z_list) == 0:
         raise ConfigError("fuse needs at least one stream")
-    mats = [as_matrix(z, f"stream {i}") for i, z in enumerate(z_list)]
-    rows = mats[0].shape[0]
-    for i, m in enumerate(mats):
+    streams = [np.asarray(z) for z in z_list]
+    for i, m in enumerate(streams):
+        check_matrix(m, f"stream {i}")
+    rows = streams[0].shape[0]
+    for i, m in enumerate(streams):
         if m.shape[0] != rows:
             raise ShapeError(
                 f"stream {i} has {m.shape[0]} rows, expected {rows} (aligned samples)"
             )
+    dims = [m.shape[1] for m in streams]
     if op is FusionOperator.AVERAGE:
-        dims = {m.shape[1] for m in mats}
-        if len(dims) > 1:
-            raise ShapeError(f"average fusion needs equal dims, got {sorted(dims)}")
-    if normalize_first:
-        normed = []
-        for i, m in enumerate(mats):
-            norms = np.sqrt(np.sum(m * m, axis=1))
+        if len(set(dims)) > 1:
+            raise ShapeError(f"average fusion needs equal dims, got {sorted(set(dims))}")
+        out = np.empty((len(streams), rows, dims[0]), dtype=np.float64)
+        blocks = list(out)
+    else:
+        out = np.empty((rows, sum(dims)), dtype=np.float64)
+        ends = np.cumsum(dims)
+        blocks = [out[:, end - d : end] for d, end in zip(dims, ends)]
+    for i, (m, block) in enumerate(zip(streams, blocks)):
+        block[...] = m
+        if normalize_first:
+            # block * block is a contiguous copy of the squares, so each
+            # row is reduced as np.sum(m * m, axis=1) reduces it.
+            norms = np.sqrt(np.sum(block * block, axis=1))
             if np.any(norms == 0):
                 raise DataError(f"stream {i} has a zero-norm row; cannot normalize")
-            normed.append(m / norms[:, None])
-        mats = normed
+            block /= norms[:, None]
     if op is FusionOperator.AVERAGE:
-        return np.mean(np.stack(mats, axis=0), axis=0)
-    return np.concatenate(mats, axis=1)
+        return np.mean(out, axis=0)
+    return out
 
 
 def split_fusion_grad(

@@ -197,10 +197,10 @@ def train(ds: MultimodalDataset, cfg: TrainConfig, plan: Optional[np.ndarray] = 
         raise ShapeError(f"batch plan {plan.shape} does not match {_plan_shape(y.size, cfg)} for this run")
     if not np.issubdtype(plan.dtype, np.integer) or plan.min() < 0 or plan.max() >= y.size:
         raise DataError(f"batch plan must hold integer positions among {y.size} train rows")
-    xs = [np.ascontiguousarray(f[ds.train_rows]) for f in ds.features]
+    train_rows = ds.train_rows
     root = Rng(cfg.seed)
     model = init_model(
-        [x.shape[1] for x in xs],
+        [f.shape[1] for f in ds.features],
         ds.modality_names,
         cfg.strategy,
         classes.size,
@@ -217,7 +217,8 @@ def train(ds: MultimodalDataset, cfg: TrainConfig, plan: Optional[np.ndarray] = 
         lr = lr_at(epoch, cfg)
         batch_losses = np.empty(len(batches), dtype=np.float64)
         for b, idx in enumerate(batches):
-            loss, grads = batch_gradients(model, [x[idx] for x in xs], y[idx], cfg.loss)
+            rows = train_rows[idx]
+            loss, grads = batch_gradients(model, [f[rows] for f in ds.features], y[idx], cfg.loss)
             if not math.isfinite(loss):
                 raise NumericError(f"training loss diverged at epoch {epoch}, batch {b}")
             sgd_step(trainables, grads, velocity, lr, cfg.momentum)

@@ -86,7 +86,9 @@ class MultimodalDataset:
     """Aligned multimodal samples: row r is one view of identity ids[r]
     observed simultaneously by every modality."""
 
-    features: list  # per modality: (num_samples, dim_i) float64
+    # per modality: (num_samples, dim_i), float64 when generated and float32
+    # when read from .uceb files; computations upcast the rows they read
+    features: list
     ids: np.ndarray
     view_ids: np.ndarray
     split: np.ndarray  # per row: SPLIT_TRAIN | SPLIT_QUERY | SPLIT_GALLERY

@@ -15,6 +15,7 @@ from reidlab.cli import apply_overrides, load_config, main, validate_config
 from reidlab.errors import ConfigError, NumericError
 from reidlab.fileio import read_dataset, write_embedding_file
 from reidlab.model import load_checkpoint, param_slots
+from reidlab.numerics import Rng
 from reidlab.synthdata import SynthConfig, generate
 
 TINY_DATA = {
@@ -866,6 +867,77 @@ def test_epochs_whose_batch_plan_cannot_be_allocated_exit_2(tmp_path, monkeypatc
     for err in (train_err, repro_err):
         assert err.startswith("config error: epochs=1000000000: the batch plan of shape (1000000000, ")
         assert err.endswith(" bytes, more than can be allocated")
+
+
+def test_sizes_numpy_cannot_allocate_or_index_exit_2(tmp_path, monkeypatch, capsys):
+    # numpy's refusals are faked as it raises them: MemoryError for an array
+    # it cannot allocate (here past 10**8 cells), ValueError for a dimension
+    # past intp and OverflowError for a bincount minlength past a C long.
+    # The test itself never asks for a huge array.
+    real_normal, real_bincount = Rng.normal, np.bincount
+
+    def refuse(cells):
+        if cells >= 2**63:
+            raise ValueError("Maximum allowed dimension exceeded")
+        if cells > 10**8:
+            raise MemoryError(f"Unable to allocate {cells * 8} bytes")
+
+    def normal(self, rows, cols):
+        refuse(rows * cols)
+        return real_normal(self, rows, cols)
+
+    def bincount(x, weights=None, minlength=0):
+        if minlength >= 2**63:
+            raise OverflowError("Python int too large to convert to C long")
+        refuse(minlength)
+        return real_bincount(x, weights, minlength)
+
+    monkeypatch.setattr(Rng, "normal", normal)
+    monkeypatch.setattr(np, "bincount", bincount)
+    cfg = _config(tmp_path, data=TINY_DATA, trn=TINY_TRAIN)
+    ds = generate(SynthConfig(**TINY_DATA))
+    ext = tmp_path / "a.uceb"
+    write_embedding_file(ext, "mod0", ds.features[0], ds.ids, ds.view_ids)
+    train = ["train", "-c", str(cfg), "-o", str(tmp_path / "t"), "--set"]
+    external = ["eval", "--external", str(ext), "-o", str(tmp_path / "e"), "--set"]
+    cases = {
+        "data.obs_dim=100000000000": (train, "Unable to allocate"),
+        "data.obs_dim=100000000000000000000": (train, "Maximum allowed dimension exceeded"),
+        "train.embed_dim=100000000000": (train, "Unable to allocate"),
+        "eval.max_rank=100000000000": (external, "Unable to allocate"),
+        "eval.max_rank=100000000000000000000": (external, "Python int too large"),
+    }
+    for setting, (argv, cause) in cases.items():
+        assert main([*argv, setting]) == 2, setting
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {cause}"), setting
+        assert err.endswith("; a configured size is too large\n") and err.count("\n") == 1, setting
+
+
+def _gen_raising(tmp_path, monkeypatch, exc):
+    def refuse(cfg):
+        raise exc
+
+    monkeypatch.setattr(cli, "generate", refuse)
+    return main(["gen", "-c", str(_config(tmp_path, data=TINY_DATA)), "-o", str(tmp_path / "g")])
+
+
+@pytest.mark.parametrize("exc", [
+    MemoryError("Unable to allocate 74.5 GiB"),
+    ValueError("Maximum allowed size exceeded"),
+    ValueError("array is too big; `arr.size * arr.dtype.itemsize` is larger than the maximum possible size."),
+    # data.views_per_id=10**18 makes np.repeat's total wrap past 2**63
+    ValueError("negative dimensions are not allowed"),
+    OverflowError("Python int too large to convert to C long"),
+])
+def test_every_numpy_size_refusal_exits_2(tmp_path, monkeypatch, capsys, exc):
+    assert _gen_raising(tmp_path, monkeypatch, exc) == 2
+    assert capsys.readouterr().err == f"config error: {exc}; a configured size is too large\n"
+
+
+def test_a_value_error_that_is_no_size_refusal_keeps_its_traceback(tmp_path, monkeypatch):
+    with pytest.raises(ValueError, match="could not be broadcast"):
+        _gen_raising(tmp_path, monkeypatch, ValueError("operands could not be broadcast together"))
 
 
 def test_repro_fails_fast_on_unwritable_out(tmp_path, monkeypatch, capsys):

@@ -2,6 +2,7 @@ import json
 import os
 import struct
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,10 +25,11 @@ from reidlab.fileio import (
     write_text,
 )
 from reidlab import model as model_module
-from reidlab.model import load_checkpoint, save_checkpoint
+from reidlab.evalkit import evaluate, report_csv
+from reidlab.model import FUSED_SELECTOR, embed_dataset, load_checkpoint, save_checkpoint
 from reidlab.objectives import Strategy
 from reidlab.pipeline import TrainConfig, config_hash, train
-from reidlab.synthdata import SynthConfig, generate, select_modalities
+from reidlab.synthdata import SPLIT_TRAIN, SynthConfig, generate, select_modalities
 
 
 def _ds(seed=0, m=2):
@@ -54,8 +56,8 @@ def test_embedding_file_roundtrip_is_float32_exact(tmp_path):
     path = _write(tmp_path, feats, ids, views, name="thermal")
     rec = read_embedding_file(path)
     assert rec.name == "thermal"
-    assert rec.features.dtype == np.float64
-    # on-disk precision is float32; the roundtrip reproduces it exactly
+    assert rec.features.dtype == np.float32 and rec.features.flags.c_contiguous
+    # features stay float32 in memory; the roundtrip reproduces them exactly
     np.testing.assert_array_equal(rec.features, feats.astype(np.float32).astype(np.float64))
     np.testing.assert_array_equal(rec.ids, ids)
     np.testing.assert_array_equal(rec.view_ids, views)
@@ -144,6 +146,32 @@ def test_dataset_directory_roundtrip(tmp_path):
     assert manifest["config"] == synth_config_dict(cfg)
     assert manifest["config_hash"] == config_hash(synth_config_dict(cfg))
     assert manifest["num_samples"] == ds.num_samples
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_float32_dataset_gives_the_bytes_of_its_float64_upcast(tmp_path, strategy):
+    # A dataset read back keeps its features float32, as stored. Every
+    # computation upcasts the rows it reads, which is exact, so training,
+    # embedding and ranking give the bytes of the same values as float64.
+    write_dataset(_ds(m=3), tmp_path / "data")
+    ds32, _ = read_dataset(tmp_path / "data")
+    assert all(f.dtype == np.float32 for f in ds32.features)
+    ds64 = replace(ds32, features=[f.astype(np.float64) for f in ds32.features])
+    cfg = TrainConfig(strategy=strategy, p=3, k=2, lr_base=0.05, momentum=0.9, epochs=3,
+                      warmup_epochs=1, hidden_dims=(8,), embed_dim=4, seed=0)
+    blobs = []
+    for ds in (ds32, ds64):
+        model = train(ds, cfg).model
+        save_checkpoint(model, tmp_path / "checkpoint.bin")
+        blobs.append((tmp_path / "checkpoint.bin").read_bytes())
+    assert blobs[0] == blobs[1]
+    test32, test64 = (ds.take(ds.split != SPLIT_TRAIN) for ds in (ds32, ds64))
+    q_ids = test32.ids[test32.query_rows]
+    for selector in [FUSED_SELECTOR, 0, 1, 2]:
+        e32, e64 = (embed_dataset(model, test, selector) for test in (test32, test64))
+        assert e32.tobytes() == e64.tobytes()
+    for f32, f64 in zip(test32.features, test64.features):
+        assert report_csv(evaluate(test32, f32), q_ids) == report_csv(evaluate(test64, f64), q_ids)
 
 
 def test_dataset_directory_errors(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,6 +246,47 @@ def test_fuse_normalize_first():
     np.testing.assert_allclose(out, [[0.6, 0.8, 0.0, 1.0]], atol=1e-15)
     with pytest.raises(DataError):
         fuse([a, np.zeros((1, 2))], FusionOperator.CONCAT, normalize_first=True)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op", list(FusionOperator))
+@pytest.mark.parametrize("normalize_first", [False, True])
+def test_fuse_gives_the_bits_of_fusing_float64_copies(dtype, op, normalize_first):
+    # fuse writes each stream into its own block of one output; the bits
+    # are those of normalizing float64 copies of the streams and then
+    # concatenating or stacking and averaging them. Rows wider than 128
+    # take numpy's recursive pairwise sums.
+    rng = np.random.default_rng(7)
+    cases = [(1, [1]), (5, [3, 1, 8]), (97, [32, 200, 9]), (600, [129, 64])]
+    if op is FusionOperator.AVERAGE:
+        cases = [(rows, [dims[-1]] * len(dims)) for rows, dims in cases]
+    for rows, dims in cases:
+        zs = [(rng.normal(size=(rows, d)) * 10.0 ** rng.uniform(-3, 3)).astype(dtype) for d in dims]
+        mats = [z.astype(np.float64) for z in zs]
+        if normalize_first:
+            mats = [m / np.sqrt(np.sum(m * m, axis=1))[:, None] for m in mats]
+        if op is FusionOperator.AVERAGE:
+            want = np.mean(np.stack(mats, axis=0), axis=0)
+        else:
+            want = np.concatenate(mats, axis=1)
+        assert fuse(zs, op, normalize_first=normalize_first).tobytes() == want.tobytes()
+
+
+def test_fuse_concat_normalized_holds_one_float64_stream_beside_its_output():
+    # float32 streams, as read from .uceb files: beside the output, only
+    # the squares of the stream being normalized are held as float64. The
+    # slack covers the row norms and numpy's fixed-size ufunc buffers (the
+    # blocks are strided views).
+    rows, dims = 2000, (32, 48, 40)
+    zs = [np.random.default_rng(i).normal(size=(rows, d)).astype(np.float32) for i, d in enumerate(dims)]
+    tracemalloc.start()
+    try:
+        out = fuse(zs, FusionOperator.CONCAT, normalize_first=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    slack = 16 * rows + 3 * 8 * np.getbufsize()
+    assert peak < out.nbytes + 8 * rows * max(dims) + slack
 
 
 def test_fuse_shape_errors():

@@ -2,12 +2,14 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from reidlab import pipeline
 from reidlab.errors import ConfigError, DataError, ShapeError
+from reidlab.fileio import read_dataset, write_dataset
 from reidlab.model import head_forward, init_model, iter_trainables, save_checkpoint, stream_forward
 from reidlab.numerics import Rng, label_groups
 from reidlab.objectives import LossConfig, Strategy, combined_loss, fuse, inference_fusion_op
@@ -319,6 +321,28 @@ def test_train_rejects_a_batch_plan_that_does_not_fit():
             train(ds, cfg, bad)
     with pytest.raises(DataError, match="P=8"):
         batch_plan(ds, _tiny_cfg(p=8))  # only 6 train ids
+
+
+def test_train_gathers_batches_without_copying_the_train_rows(tmp_path):
+    # pipeline-wide's shapes, read back as float32: the second dataset has
+    # 768 more train rows, whose float64 copy is 768 x 384 x 8 = 2.36 MB.
+    # Batches are gathered from ds.features, so train's peak grows by only
+    # the per-row labels and batch plan.
+    peaks = []
+    for views in (12, 24):
+        cfg = SynthConfig(num_modalities=3, latent_dim=12, obs_dim=128, ids_train=64, ids_test=4,
+                          views_per_id=views, seed=0)
+        write_dataset(generate(cfg), tmp_path / str(views))
+        ds, _ = read_dataset(tmp_path / str(views))
+        tcfg = TrainConfig(strategy=Strategy.FUSION_CONCAT, p=16, k=4, epochs=1, warmup_epochs=0,
+                           hidden_dims=(256,), embed_dim=64)
+        tracemalloc.start()
+        try:
+            train(ds, tcfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 768 * 384 * 8 / 10
 
 
 def test_unicat_streams_match_solo_training_bitwise():
