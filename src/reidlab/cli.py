@@ -158,8 +158,8 @@ def cmd_eval(args) -> int:
     else:
         view, evals, summary, kind = _checkpoint_evals(args, cfg, opts)
     q_ids = view.ids[view.query_rows]
-    for name, features in evals:
-        report = evaluate(view, features, opts.exclude_same_view, opts.max_rank)
+    for name, embed in evals:
+        report = evaluate(view, embed, opts.exclude_same_view, opts.max_rank)
         _write_report(out, name, report, q_ids, f"{name} ({kind})")
         summary.append(
             f"- {name}: mAP {100 * report.map:.2f}%, Rank-1 {100 * report.rank1:.2f}%"
@@ -171,7 +171,8 @@ def cmd_eval(args) -> int:
 
 
 def _checkpoint_evals(args, cfg: dict, opts: EvalOptions) -> tuple:
-    """(view, [(name, features), ...], summary head, report kind) for a checkpoint."""
+    """(view, [(name, embed), ...], summary head, report kind) for a
+    checkpoint; embed(rows) embeds those rows of view, as evaluate takes it."""
     model = load_checkpoint(args.checkpoint)
     ds, source = _load_or_generate(cfg)
     if args.trainset:
@@ -182,7 +183,8 @@ def _checkpoint_evals(args, cfg: dict, opts: EvalOptions) -> tuple:
         (i, f"mod{i}") for i in range(model.num_streams)
     ]
     evals = [
-        (name, embed_dataset(model, view, selector, normalize_first=opts.normalize_first))
+        (name, lambda rows, selector=selector: embed_dataset(
+            model, view.take(rows), selector, normalize_first=opts.normalize_first))
         for selector, name in selectors
     ]
     summary = [
@@ -198,8 +200,9 @@ def _checkpoint_evals(args, cfg: dict, opts: EvalOptions) -> tuple:
 
 
 def _external_evals(args, opts: EvalOptions) -> tuple:
-    """(view, [(name, features), ...], summary head, report kind) for
-    embedding files: each file, and their fusion when there are several."""
+    """(view, [(name, embed), ...], summary head, report kind) for
+    embedding files: each file, and their fusion when there are several.
+    embed(rows) gathers, or fuses, those rows of view, as evaluate takes it."""
     records = [fileio.read_embedding_file(f) for f in args.external]
     names = []
     for rec in records:
@@ -221,9 +224,10 @@ def _external_evals(args, opts: EvalOptions) -> tuple:
     view = split_query_gallery(holder, opts.views_as_query, Rng(opts.seed).split("external-eval"))
     op = FusionOperator(args.fusion_op or "concat")
     normalize = True if opts.normalize_first is None else opts.normalize_first
-    evals = list(zip(names, view.features))
+    evals = [(name, lambda rows, f=f: f[rows]) for name, f in zip(names, view.features)]
     if len(records) > 1:
-        evals.append(("multimodal", fuse(view.features, op, normalize_first=normalize)))
+        evals.append(("multimodal", lambda rows: fuse(
+            [f[rows] for f in view.features], op, normalize_first=normalize)))
     summary = [
         "# External embedding evaluation",
         "",

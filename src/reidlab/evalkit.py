@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .model import FUSED_SELECTOR, embed_dataset
-from .numerics import Matrix, Rng, as_matrix, matmul
+from .numerics import Matrix, Rng, as_matrix, matmul, scale_rows_to_unit
 from .objectives import Strategy
 from .pipeline import TrainConfig, batch_plan, train
 from .synthdata import (
@@ -70,20 +70,8 @@ def _unit_rows(f: Matrix, name: str) -> Matrix:
     """Scale the rows of f, a C-contiguous float64 matrix that the caller
     owns, to unit length in place, and return it: the operands of every
     cosine distance. A NaN or inf feature is kept: it makes its row's
-    distances NaN, which cmc_map rejects.
-
-    Squares and norms are taken a block of rows at a time, so no
-    temporary is the size of f; each row's squares are summed by the same
-    np.sum over that row as for the whole matrix, so the bits do not change.
-    """
-    step = max(1, _RANK_BLOCK_CELLS // max(f.shape[1], 1))
-    for start in range(0, f.shape[0], step):
-        block = f[start : start + step]
-        norms = np.sqrt(np.sum(block * block, axis=1))
-        if np.any(norms == 0):
-            raise DataError(f"{name} embeddings contain a zero-norm row; cosine undefined")
-        block /= norms[:, None]
-    return f
+    distances NaN, which cmc_map rejects."""
+    return scale_rows_to_unit(f, f"{name} embeddings contain a zero-norm row; cosine undefined")
 
 
 def _distances_of_dots(d: Matrix) -> Matrix:
@@ -283,29 +271,51 @@ def cmc_map(
     )
 
 
+def _unit_part(embed: Callable[[np.ndarray], Matrix], rows: np.ndarray, name: str) -> Matrix:
+    """The unit rows of embed(rows), the features of the rows `rows`."""
+    f = np.asarray(embed(rows))
+    if f.ndim != 2 or f.shape[0] != rows.size:
+        raise ShapeError(f"{name} features {f.shape} do not hold one row per {name} row ({rows.size})")
+    # embed returns a new array, so it is scaled in place; one of another
+    # dtype or layout is scaled in its C-contiguous float64 copy.
+    return _unit_rows(np.ascontiguousarray(f, dtype=np.float64), name)
+
+
 def evaluate(
     ds: MultimodalDataset,
-    features: Matrix,
+    embed: Callable[[np.ndarray], Matrix],
     exclude_same_view: bool = False,
     max_rank: int = 50,
 ) -> RetrievalReport:
     """Rank ds's query rows against its gallery rows by the cosine distance
-    of features, which holds one row per row of ds; train rows are not read.
+    of their features; train rows are not read.
 
-    The report is that of cmc_map(cosine_distance(features[q], features[g]),
-    ...) for the query rows q and gallery rows g, byte for byte, without
-    forming the query x gallery distance matrix: each block of query rows
-    gets its distances from matmul on the unit rows, computed once.
+    embed(rows) returns a new array, one row per index in rows, holding
+    the features of those rows of ds; evaluate scales it in place. It is
+    called for the gallery rows first and then for the query rows, so no
+    features but those two parts are held for ds: e.g.
+    lambda rows: embed_dataset(model, ds.take(rows), selector). If the
+    gallery part fails, the query part is built before its error is
+    raised, so that the query's error comes first.
+
+    The report is that of cmc_map(cosine_distance(f[q], f[g]), ...) for
+    the features f of every row, the query rows q and gallery rows g, byte
+    for byte, without forming the query x gallery distance matrix: each
+    block of query rows gets its distances from matmul on the unit rows,
+    computed once.
     """
-    features = np.asarray(features)
-    if features.ndim != 2 or features.shape[0] != ds.num_samples:
-        raise ShapeError(f"features {features.shape} do not hold one row per row of {ds.num_samples}")
     q_rows, g_rows = ds.query_rows, ds.gallery_rows
     if q_rows.size == 0 or g_rows.size == 0:
         raise DataError("dataset has an empty query or gallery split")
-    # Indexing by rows copies, so the unit rows are scaled in those copies.
-    uq = _unit_rows(np.ascontiguousarray(features[q_rows], dtype=np.float64), "query")
-    ug = _unit_rows(np.ascontiguousarray(features[g_rows], dtype=np.float64), "gallery")
+    # The gallery's part is built while nothing else is held.
+    try:
+        ug = _unit_part(embed, g_rows, "gallery")
+    except Exception:
+        _unit_part(embed, q_rows, "query")
+        raise
+    uq = _unit_part(embed, q_rows, "query")
+    if uq.shape[1] != ug.shape[1]:
+        raise ShapeError(f"feature dims differ: query {uq.shape[1]} vs gallery {ug.shape[1]}")
     if not (np.all(np.isfinite(uq)) and np.all(np.isfinite(ug))):
         # A NaN or inf feature makes every distance of its row NaN.
         raise NumericError("distance matrix contains non-finite entries")
@@ -514,7 +524,7 @@ def _suite_cell(
     splits = [("test", test)] + ([("train", trainset_view(ds))] if spec.train_split else [])
 
     def score(view: MultimodalDataset, selector: Union[int, str]) -> tuple:
-        rep = evaluate(view, embed_dataset(model, view, selector))
+        rep = evaluate(view, lambda rows: embed_dataset(model, view.take(rows), selector))
         return rep.map, rep.rank1
 
     out = [

@@ -93,7 +93,9 @@ def write_text(path, text: str) -> None:
 
 
 def write_embedding_file(path, name: str, features, ids, view_ids) -> None:
-    features = np.asarray(features, dtype=np.float64)
+    # Not upcast: assigning into the payload casts to float32 as
+    # astype(float32) does, and float32 features pass through unchanged.
+    features = np.asarray(features)
     ids = np.asarray(ids, dtype=np.int64)
     view_ids = np.asarray(view_ids, dtype=np.int64)
     if features.ndim != 2:
@@ -111,7 +113,7 @@ def write_embedding_file(path, name: str, features, ids, view_ids) -> None:
     )
     payload["id"] = ids.astype(np.uint64)
     payload["view"] = view_ids.astype(np.uint32)
-    payload["feat"] = features.astype(np.float32)
+    payload["feat"] = features
     with atomic_write(path, "wb") as fh:
         fh.write(EMBEDDING_MAGIC)
         fh.write(struct.pack("<I", EMBEDDING_VERSION))
@@ -119,7 +121,7 @@ def write_embedding_file(path, name: str, features, ids, view_ids) -> None:
         fh.write(struct.pack("<I", d))
         fh.write(struct.pack("<I", len(name_bytes)))
         fh.write(name_bytes)
-        fh.write(payload.tobytes())
+        fh.write(payload.view(np.uint8))  # the payload's own buffer, not a copy
 
 
 def read_embedding_file(path) -> EmbeddingRecord:

@@ -331,6 +331,11 @@ def embed_dataset(
     fusion strategies pass the fused pre-BN embedding through the fused
     head's BNNeck; unicat concatenates per-stream post-BN features
     (L2-normalized per stream unless normalize_first overrides).
+
+    Each row's features depend on that row alone (eval-mode BN, row-local
+    fuse, and matmul sums every cell in one fixed order), so embedding
+    ds.take(rows) gives those rows of embedding ds, bit for bit: the
+    embed(rows) that evaluate takes embeds only the part it asks for.
     """
     params.validate()
     if ds.num_modalities != params.num_streams:

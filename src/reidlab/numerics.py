@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import DataError, NumericError, ShapeError
 
 # 2-D row-major float64 ndarray. A plain alias: every public operation
 # validates shape/dtype instead of wrapping arrays in a new class.
@@ -297,6 +297,27 @@ def _select_kernel(compiled) -> tuple[str, Callable[[Matrix, Matrix], Matrix]]:
 # The kernel matmul runs, chosen once at import. MATMUL_KERNEL ("compiled"
 # or "numpy") reports the choice; assigning to it changes nothing.
 MATMUL_KERNEL, _kernel = _select_kernel(_load_compiled())
+
+
+def scale_rows_to_unit(m: Matrix, zero_norm_message: str) -> Matrix:
+    """Scale the rows of m, a float64 matrix or a column block of one, to
+    unit length in place, and return it. A zero-norm row raises
+    DataError(zero_norm_message). A NaN or inf entry is kept: its row's
+    norm is NaN or inf.
+
+    Squares and norms are taken a block of at most _BLOCK_CELLS cells at a
+    time, so no temporary is the size of m. block * block is a contiguous
+    copy, so each row's squares are summed by the same np.sum over that one
+    row whatever the block: the bits do not depend on it.
+    """
+    step = max(1, _BLOCK_CELLS // max(m.shape[1], 1))
+    for start in range(0, m.shape[0], step):
+        block = m[start : start + step]
+        norms = np.sqrt(np.sum(block * block, axis=1))
+        if np.any(norms == 0):
+            raise DataError(zero_norm_message)
+        block /= norms[:, None]
+    return m
 
 
 def _row_sqnorms(a: Matrix) -> np.ndarray:

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-from .numerics import Matrix, as_matrix, check_matrix, pairwise_euclidean
+from .numerics import Matrix, as_matrix, check_matrix, pairwise_euclidean, scale_rows_to_unit
 
 
 class FusionOperator(enum.Enum):
@@ -194,7 +194,11 @@ def fuse(
     normalize_first L2-normalizes each stream's rows before combining
     (an inference-time option; training never sets it). Each stream is
     upcast into its own float64 block of one output, so a float32 stream
-    (as read from a .uceb file) is never held as a float64 copy beside it.
+    (as read from a .uceb file) is never held as a float64 copy beside it;
+    it is normalized there a block of rows at a time, so the squares are
+    never a whole stream's. Every output row depends on its input rows
+    only: fusing some rows gives those rows of fusing all of them, bit for
+    bit, which lets evaluate fuse its query and gallery rows apart.
     """
     if len(z_list) == 0:
         raise ConfigError("fuse needs at least one stream")
@@ -220,12 +224,7 @@ def fuse(
     for i, (m, block) in enumerate(zip(streams, blocks)):
         block[...] = m
         if normalize_first:
-            # block * block is a contiguous copy of the squares, so each
-            # row is reduced as np.sum(m * m, axis=1) reduces it.
-            norms = np.sqrt(np.sum(block * block, axis=1))
-            if np.any(norms == 0):
-                raise DataError(f"stream {i} has a zero-norm row; cannot normalize")
-            block /= norms[:, None]
+            scale_rows_to_unit(block, f"stream {i} has a zero-norm row; cannot normalize")
     if op is FusionOperator.AVERAGE:
         return np.mean(out, axis=0)
     return out

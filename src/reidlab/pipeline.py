@@ -218,7 +218,15 @@ def train(ds: MultimodalDataset, cfg: TrainConfig, plan: Optional[np.ndarray] = 
         batch_losses = np.empty(len(batches), dtype=np.float64)
         for b, idx in enumerate(batches):
             rows = train_rows[idx]
-            loss, grads = batch_gradients(model, [f[rows] for f in ds.features], y[idx], cfg.loss)
+            x = [f[rows] for f in ds.features]
+            # The last step's gradients are dropped before this step's
+            # backward allocates its own, but after its batch is gathered:
+            # dropped right after sgd_step, they lay at the top of the heap,
+            # and glibc handed their pages back and faulted them in again
+            # every step (46k minor faults in train against 6.4k, and train
+            # a third slower at pipeline-wide's shapes).
+            grads = None
+            loss, grads = batch_gradients(model, x, y[idx], cfg.loss)
             if not math.isfinite(loss):
                 raise NumericError(f"training loss diverged at epoch {epoch}, batch {b}")
             sgd_step(trainables, grads, velocity, lr, cfg.momentum)
@@ -299,7 +307,9 @@ def grid_search(
         for lr in lr_values:
             cfg = replace(base_cfg, p=bs // base_cfg.k, lr_base=lr)
             rec = train(ds_val, cfg)
-            report = evaluate(val_view, embed_dataset(rec.model, val_view, FUSED_SELECTOR))
+            report = evaluate(
+                val_view, lambda rows: embed_dataset(rec.model, val_view.take(rows), FUSED_SELECTOR)
+            )
             cell = GridCell(
                 batch_size=bs,
                 lr=lr,

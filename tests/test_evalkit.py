@@ -22,7 +22,7 @@ from reidlab.evalkit import (
 )
 from reidlab.model import FUSED_SELECTOR, embed_dataset
 from reidlab.numerics import Rng, matmul
-from reidlab.objectives import Strategy
+from reidlab.objectives import FusionOperator, Strategy, fuse
 from reidlab.pipeline import TrainConfig, train
 from reidlab.synthdata import SPLIT_GALLERY, SPLIT_QUERY, MultimodalDataset, SynthConfig, generate
 
@@ -44,8 +44,13 @@ def _trained(ds, strategy=Strategy.UNICAT, epochs=3, seed=0):
     return train(ds, cfg).model
 
 
+def _rows_of(f):
+    """evaluate's embed over a whole feature matrix: a copy of its rows."""
+    return lambda rows: f[rows]
+
+
 def _score(model, ds, selector=FUSED_SELECTOR):
-    return evaluate(ds, embed_dataset(model, ds, selector))
+    return evaluate(ds, lambda rows: embed_dataset(model, ds.take(rows), selector))
 
 
 # ---------------------------------------------------------- cosine_distance
@@ -395,7 +400,7 @@ def _exact_report_bytes(ds, f, excl=False, max_rank=50):
 
 
 def _evaluate_report_bytes(ds, f, excl=False, max_rank=50):
-    return _report_bytes(lambda: evaluate(ds, f, excl, max_rank), ds.ids[ds.query_rows])
+    return _report_bytes(lambda: evaluate(ds, _rows_of(f), excl, max_rank), ds.ids[ds.query_rows])
 
 
 def _adversarial_sets(rng, case):
@@ -495,12 +500,71 @@ def test_evaluate_memory_bounded_below_distance_matrix():
         unit_bytes = 8 * dim * (ds.query_rows.size + ds.gallery_rows.size)
         tracemalloc.start()
         try:
-            rep = evaluate(ds, f)
+            rep = evaluate(ds, _rows_of(f))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < min(matrix_bytes, unit_bytes + 3 * block_bytes), (dim, peak, unit_bytes)
         assert _report_bytes(lambda: rep, ds.ids[ds.query_rows]) == _exact_report_bytes(ds, f)
+
+
+def _fused_gallery_streams(seed):
+    """eval-gallery's shapes: three float32 streams of 500 ids x 10 views at
+    dim 32 and rising noise, two views of each id as query, and the embed
+    that `eval --external` passes evaluate for their normalized concat."""
+    ds, _ = _gallery_sets_1000x4000(seed)
+    rng = np.random.default_rng(seed)
+    centres = rng.normal(size=(500, 32))
+    streams = [(centres[ds.ids] + noise * rng.normal(size=(ds.num_samples, 32))).astype(np.float32)
+               for noise in (0.02, 0.7, 1.2)]
+    ds = MultimodalDataset(streams, ds.ids, ds.view_ids, ds.split, ["planted", "mid", "high"])
+
+    def embed(rows):
+        return fuse([f[rows] for f in streams], FusionOperator.CONCAT, normalize_first=True)
+
+    return ds, embed
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        out = run()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fused_evaluate_holds_no_whole_fused_matrix():
+    # The fused path embeds the gallery rows, then the query rows, and
+    # scales each part in place: its peak is that of ranking unit rows,
+    # with no fused matrix of every row beside them. Fusing every row first
+    # and handing evaluate copies of its rows holds both.
+    ds, embed = _fused_gallery_streams(5)
+    nq, ng = ds.query_rows.size, ds.gallery_rows.size
+    unit_bytes = 8 * 96 * (nq + ng)
+    _, peak = _traced_peak(lambda: evaluate(ds, embed))
+    assert peak < unit_bytes + 3 * 8 * evalkit._RANK_BLOCK_CELLS, (peak, unit_bytes)
+
+    def whole_matrix():
+        fused = embed(np.arange(ds.num_samples))
+        return evaluate(ds, lambda rows: fused[rows])
+
+    _, whole_peak = _traced_peak(whole_matrix)
+    assert peak < whole_peak - 8 * 96 * ng, (peak, whole_peak)
+
+
+def test_fused_evaluate_bytes_equal_exact_matrix_ranking():
+    ds, embed = _fused_gallery_streams(6)
+    fused = embed(np.arange(ds.num_samples))
+    calls = []
+
+    def traced(rows):
+        calls.append(rows)
+        return embed(rows)
+
+    got = _report_bytes(lambda: evaluate(ds, traced), ds.ids[ds.query_rows])
+    assert got == _exact_report_bytes(ds, fused)
+    assert [c.tolist() for c in calls] == [ds.gallery_rows.tolist(), ds.query_rows.tolist()]
 
 
 def test_cmc_map_checks_finiteness_a_block_at_a_time():
@@ -560,7 +624,7 @@ def test_embed_dataset_rows_and_zero_norm_guard():
     with pytest.raises(DataError, match="query embeddings contain a zero-norm row"):
         cosine_distance(np.zeros((2, 3)), np.ones((2, 3)))
     with pytest.raises(ShapeError):
-        evaluate(ds, both[:-1])
+        evaluate(ds, lambda rows: both[rows][:-1])
 
 
 def test_unicat_fused_similarity_is_mean_of_stream_similarities():
@@ -628,15 +692,17 @@ def test_evaluate_runs_validation():
     model = _trained(ds)
     f = embed_dataset(model, ds, 0)
     with pytest.raises(DataError, match="zero-norm"):
-        evaluate(ds, np.zeros_like(f))
+        evaluate(ds, _rows_of(np.zeros_like(f)))
     with pytest.raises(DataError, match="empty query or gallery split"):
-        evaluate(ds.take(ds.train_rows), f[ds.train_rows])
+        evaluate(ds.take(ds.train_rows), _rows_of(f[ds.train_rows]))
     with pytest.raises(ShapeError):
-        evaluate(ds, f[:, 0])
+        evaluate(ds, _rows_of(f[:, 0]))
+    with pytest.raises(ShapeError, match="feature dims differ: query 3 vs gallery 4"):
+        evaluate(ds, lambda rows: f[rows] if rows.size == ds.gallery_rows.size else f[rows, :3])
     # Train rows are not read: a non-finite one changes nothing.
     g = f.copy()
     g[ds.train_rows] = np.nan
-    assert report_csv(evaluate(ds, g)) == report_csv(evaluate(ds, f))
+    assert report_csv(evaluate(ds, _rows_of(g))) == report_csv(evaluate(ds, _rows_of(f)))
 
 
 # -------------------------------------------------------------------- suite

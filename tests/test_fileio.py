@@ -2,6 +2,7 @@ import json
 import os
 import struct
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -67,6 +68,29 @@ def test_embedding_file_roundtrip_float32_inputs_bitwise(tmp_path):
     feats = np.random.default_rng(1).normal(size=(4, 3)).astype(np.float32).astype(np.float64)
     rec = read_embedding_file(_write(tmp_path, feats))
     np.testing.assert_array_equal(rec.features, feats)
+
+
+def test_embedding_file_write_holds_only_its_payload(tmp_path):
+    # float32 features go into the payload as they are, and the payload is
+    # written from its own buffer: nothing else the size of the file is
+    # held. The slack covers the ids' conversions (8 bytes a row each).
+    n, d = 5000, 128
+    feats = np.random.default_rng(4).normal(size=(n, d)).astype(np.float32)
+    ids, views = np.arange(n) // 10, np.arange(n) % 10
+    payload_bytes = n * (8 + 4 + 4 * d)
+    tracemalloc.start()
+    try:
+        write_embedding_file(tmp_path / "f.uceb", "m", feats, ids, views)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < payload_bytes + 32 * n, (peak, payload_bytes)
+    rec = read_embedding_file(tmp_path / "f.uceb")
+    assert rec.features.tobytes() == feats.tobytes()
+    # float64 features are rounded as astype(float32) rounds them.
+    wide = feats.astype(np.float64) * (1.0 + 2.0 ** -30)
+    write_embedding_file(tmp_path / "w.uceb", "m", wide, ids, views)
+    assert read_embedding_file(tmp_path / "w.uceb").features.tobytes() == wide.astype(np.float32).tobytes()
 
 
 def test_embedding_file_unicode_name_and_empty(tmp_path):
@@ -171,7 +195,8 @@ def test_float32_dataset_gives_the_bytes_of_its_float64_upcast(tmp_path, strateg
         e32, e64 = (embed_dataset(model, test, selector) for test in (test32, test64))
         assert e32.tobytes() == e64.tobytes()
     for f32, f64 in zip(test32.features, test64.features):
-        assert report_csv(evaluate(test32, f32), q_ids) == report_csv(evaluate(test64, f64), q_ids)
+        assert (report_csv(evaluate(test32, lambda rows: f32[rows]), q_ids)
+                == report_csv(evaluate(test64, lambda rows: f64[rows]), q_ids))
 
 
 def test_dataset_directory_errors(tmp_path):

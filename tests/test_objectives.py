@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reidlab import numerics
 from reidlab.errors import ConfigError, DataError, ShapeError
 from reidlab.numerics import Rng
 from reidlab.objectives import (
@@ -274,9 +275,10 @@ def test_fuse_gives_the_bits_of_fusing_float64_copies(dtype, op, normalize_first
 
 def test_fuse_concat_normalized_holds_one_float64_stream_beside_its_output():
     # float32 streams, as read from .uceb files: beside the output, only
-    # the squares of the stream being normalized are held as float64. The
-    # slack covers the row norms and numpy's fixed-size ufunc buffers (the
-    # blocks are strided views).
+    # the squares of a block of the stream being normalized are held as
+    # float64, at most numerics._BLOCK_CELLS of them. The slack covers the
+    # row norms and numpy's fixed-size ufunc buffers (the blocks are
+    # strided views).
     rows, dims = 2000, (32, 48, 40)
     zs = [np.random.default_rng(i).normal(size=(rows, d)).astype(np.float32) for i, d in enumerate(dims)]
     tracemalloc.start()
@@ -286,7 +288,7 @@ def test_fuse_concat_normalized_holds_one_float64_stream_beside_its_output():
     finally:
         tracemalloc.stop()
     slack = 16 * rows + 3 * 8 * np.getbufsize()
-    assert peak < out.nbytes + 8 * rows * max(dims) + slack
+    assert peak < out.nbytes + 8 * numerics._BLOCK_CELLS + slack, (peak, out.nbytes)
 
 
 def test_fuse_shape_errors():

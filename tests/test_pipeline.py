@@ -3,6 +3,7 @@ import json
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -343,6 +344,26 @@ def test_train_gathers_batches_without_copying_the_train_rows(tmp_path):
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 768 * 384 * 8 / 10
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_train_frees_each_steps_gradients_before_the_next_step(monkeypatch, strategy):
+    # A step's gradients are dropped once sgd_step has applied them, so the
+    # next step's backward never runs beside them.
+    previous = []  # weak references to the last step's gradient arrays
+    steps = []
+
+    def batch_gradients(*args):
+        steps.append(sum(ref() is not None for ref in previous))
+        loss, grads = real(*args)
+        previous[:] = [weakref.ref(g) for g in grads.values()]
+        return loss, grads
+
+    real = pipeline.batch_gradients
+    monkeypatch.setattr(pipeline, "batch_gradients", batch_gradients)
+    train(_tiny_ds(), _tiny_cfg(strategy=strategy, epochs=2))
+    assert len(steps) > 2 and previous
+    assert steps == [0] * len(steps)
 
 
 def test_unicat_streams_match_solo_training_bitwise():
